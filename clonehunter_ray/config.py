@@ -163,9 +163,6 @@ class ClusterConfig:
     # unfiltered output. Set min_size=2 to reproduce its opt-in filter
     # semantics (clustering.py:46-55: clusters need >= min_size FINDINGS).
     min_size: int = 1
-    # findings edge lists above this size switch from driver-side
-    # union-find to the distributed hash-min label propagation loop.
-    driver_max_edges: int = 5_000_000
 
 
 @dataclass(frozen=True)

@@ -335,9 +335,9 @@ def score_with_classifier(
     the cluster by default (a fixed constant would cap the whole
     stage; dedup.py documents the same rule)."""
     if concurrency is None:
-        from clonehunter_ray.util import auto_actor_count
+        from clonehunter_ray.util import auto_actor_pool
 
-        concurrency = (2, auto_actor_count())
+        concurrency = auto_actor_pool()
     wb = np.empty(model.dim + 1, dtype=np.float64)
     wb[:-1] = model.weights
     wb[-1] = model.bias

@@ -22,7 +22,6 @@ import ray.data
 
 from clonehunter_ray.config import SignatureConfig
 from clonehunter_ray.functions import hashing as H
-from clonehunter_ray.state.unionfind import cluster_labels
 
 
 class DocSignatureStage:
@@ -213,7 +212,7 @@ def minhash_dedup_pairs(
     ``broadcast_limit`` docs — never a driver-heap dict — partitioned
     hash join above) -> exact Jaccard verification in ``map_batches``.
     """
-    from clonehunter_ray.util import auto_actor_count
+    from clonehunter_ray.util import auto_actor_pool
 
     config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
     sig = docs_ds.map_batches(
@@ -226,7 +225,7 @@ def minhash_dedup_pairs(
         # stage; a fixed FULL-size pool pays mass actor startup even
         # for tiny inputs); small batches keep task count >> actor
         # count so the pool fills even from a handful of read blocks
-        concurrency=concurrency or (2, auto_actor_count()),
+        concurrency=concurrency or auto_actor_pool(),
         batch_size=256,
         batch_format="pyarrow",
     ).materialize()  # reused by the band shuffle AND the payload attach
@@ -468,7 +467,7 @@ def incremental_dedup_stream(
     import os
 
     from clonehunter_ray.state.lsh_index import OUT_SCHEMA, ShardedLshIndex
-    from clonehunter_ray.util import auto_actor_count
+    from clonehunter_ray.util import auto_actor_pool
 
     cfg = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
     index = ShardedLshIndex(n_shards=n_shards, config=cfg)
@@ -508,7 +507,7 @@ def incremental_dedup_stream(
                 "config": cfg,
                 "emit": ("shingles", "bands"),
             },
-            concurrency=(2, auto_actor_count()),
+            concurrency=auto_actor_pool(),
             batch_size=256,
             batch_format="pyarrow",
         )
@@ -606,108 +605,39 @@ def minhash_dedup_keep(
     docs_ds: "ray.data.Dataset",
     threshold: float = 0.8,
     config: SignatureConfig | None = None,
-    driver_max_edges: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Full near-dedup: returns (doc_id, cluster_id, keep) where keep
     marks the representative (min doc_id) of each near-dup cluster.
 
-    Below ``driver_max_edges`` verified pairs: driver union-find (the
-    pair list is tiny relative to the corpus; cluster_id is the dense
-    rank from unionfind.cluster_labels). Above it: distributed hash-min
-    label propagation (stages/clustering.hashmin_labels) + a
-    partitioned left-outer join to attach labels — no driver-side edge
-    list or doc->cluster dict. There cluster_id IS the component's min
-    doc_id (the same canonical representative the keep rule uses), so
-    keep = (cluster_id is null) or (doc_id == cluster_id)."""
-    pairs = minhash_dedup_pairs(docs_ds, threshold, config).materialize()
-    if pairs.count() > driver_max_edges:
-        return _minhash_keep_distributed(docs_ds, pairs)
-    edges = [
-        (str(r["a_id"]), str(r["b_id"]))
-        for r in pairs.select_columns(["a_id", "b_id"]).iter_rows()
-    ]
-    labels = {int(k): v for k, v in cluster_labels(edges).items()} if edges else {}
-    labels_ref = ray.put(labels)
-
-    def annotate(batch: pa.Table) -> pa.Table:
-        lab = ray.get(labels_ref)
-        ids = batch["doc_id"].to_pylist()
-        cl = [lab.get(d, -1) for d in ids]
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "cluster_id": pa.array(cl, pa.int64()),
-            }
-        )
-
-    annotated = docs_ds.select_columns(["doc_id"]).map_batches(
-        annotate, batch_format="pyarrow"
-    )
-    # keep = min doc_id within cluster (or everything unclustered)
-    min_per_cluster: dict[int, int] = {}
-    for d, c in labels.items():
-        if c not in min_per_cluster or d < min_per_cluster[c]:
-            min_per_cluster[c] = d
-    mins_ref = ray.put(min_per_cluster)
-
-    def mark_keep(batch: pa.Table) -> pa.Table:
-        mins = ray.get(mins_ref)
-        keep = [
-            c == -1 or mins.get(c) == d
-            for d, c in zip(
-                batch["doc_id"].to_pylist(), batch["cluster_id"].to_pylist()
-            )
-        ]
-        return batch.append_column("keep", pa.array(keep, pa.bool_()))
-
-    return annotated.map_batches(mark_keep, batch_format="pyarrow")
-
-
-def _minhash_keep_distributed(
-    docs_ds: "ray.data.Dataset", pairs: "ray.data.Dataset"
-) -> "ray.data.Dataset":
-    """Scale path of minhash_dedup_keep: hash-min connected components
-    over the verified pair list, labels attached by partitioned join
-    (the shape scan() uses above cluster.driver_max_edges,
-    pipelines/scan.py)."""
+    The verified pairs go through ``stages/clustering.py``'s
+    ``connected_components`` (driver union-find or the distributed
+    loop, its choice), so cluster_id IS the component's min doc_id —
+    the same canonical representative the keep rule uses: keep =
+    (doc in no pair, cluster_id -1) or (doc_id == cluster_id)."""
     import pyarrow.compute as pc
 
-    from clonehunter_ray.stages.clustering import hashmin_labels
-    from clonehunter_ray.util import safe_join_partitions
-
-    edges = pairs.select_columns(["a_id", "b_id"]).map_batches(
-        lambda t: t.rename_columns(["unit_a", "unit_b"]),
-        batch_format="pyarrow",
+    from clonehunter_ray.stages.clustering import (
+        attach_labels,
+        connected_components,
     )
-    labels = hashmin_labels(edges)  # (unit_id:int64, label:int64)
-    nparts = safe_join_partitions(16)
-    from clonehunter_ray.util import safe_join
 
-    annotated = safe_join(
-        docs_ds.select_columns(["doc_id"]),
-        labels,
-        "left_outer",
-        nparts,
-        on=("doc_id",),
-        right_on=("unit_id",),
+    labels = connected_components(
+        minhash_dedup_pairs(docs_ds, threshold, config), columns=("a_id", "b_id")
     )
 
     def finish(batch: pa.Table) -> pa.Table:
         lab = batch["label"]
-        keep = pc.or_kleene(
-            pc.is_null(lab), pc.equal(batch["doc_id"], lab)
-        )
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
-                "cluster_id": pc.cast(
-                    pc.fill_null(lab, -1), pa.int64()
-                ),
-                "keep": pc.cast(keep, pa.bool_()),
+                "cluster_id": pc.cast(pc.fill_null(lab, -1), pa.int64()),
+                "keep": pc.fill_null(pc.equal(batch["doc_id"], lab), True),
             }
         )
 
-    return annotated.map_batches(finish, batch_format="pyarrow")
+    return attach_labels(
+        docs_ds.select_columns(["doc_id"]), labels, "doc_id"
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 def simhash_dup_pairs(
@@ -724,17 +654,19 @@ def simhash_dup_pairs(
     all-pairs count would exceed ``max_bucket_pairs`` (e.g. a modal
     fingerprint — boilerplate or empty-shingle docs all hash to one
     value) emits a hub-spoke star from its min doc_id instead of
-    O(n^2) pairs. Connectivity within the near-identical mass is
-    preserved for downstream clustering; pair-level recall inside the
-    capped bucket is traded for bounded memory, same contract as
-    ``minhash_dedup_pairs``."""
-    from clonehunter_ray.util import auto_actor_count
+    O(n^2) pairs. Hamming distance is not transitive, so the star keeps
+    only the docs within ``max_hamming`` of the hub connected; other
+    near-identical docs in the bucket (even the mass of its most common
+    fingerprint, when the hub is not part of it) may lose their pairs.
+    Pair-level recall inside the capped bucket is traded for bounded
+    memory, same contract as ``minhash_dedup_pairs``."""
+    from clonehunter_ray.util import auto_actor_pool
 
     config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
     sig = docs_ds.map_batches(
         DocSignatureStage,
         fn_constructor_kwargs={"config": config, "emit": ("simhash",)},
-        concurrency=(2, auto_actor_count()),
+        concurrency=auto_actor_pool(),
         batch_size=256,
         batch_format="pyarrow",
     ).select_columns(["doc_id", "simhash"])
@@ -860,7 +792,6 @@ def minhash_dedup_keep_best(
     docs_ds: "ray.data.Dataset",
     threshold: float = 0.8,
     config: SignatureConfig | None = None,
-    driver_max_edges: int = 2_000_000,
     num_partitions: int = 16,
 ) -> "ray.data.Dataset":
     """Quality-aware near-dedup keep list: within each near-dup cluster
@@ -873,9 +804,8 @@ def minhash_dedup_keep_best(
     content, cheap, and deterministic.
 
     Distributed shape (no stage materializes the corpus):
-    1. cluster labels from the same union-find / hash-min machinery as
-       ``minhash_dedup_keep`` (driver edges only below
-       ``driver_max_edges``; partitioned label join above);
+    1. cluster labels from ``minhash_dedup_keep`` (the one
+       connected-components routine; cluster_id = min doc_id);
     2. per-doc quality scored inside ``map_batches``;
     3. label + quality attached with ONE partitioned hash join;
     4. per-cluster winner via map-side partial argmax (one candidate
@@ -892,9 +822,9 @@ def minhash_dedup_keep_best(
     from clonehunter_ray.pipelines.text_analysis import quality_scores_batch
     from clonehunter_ray.util import safe_join, safe_join_partitions
 
-    base = minhash_dedup_keep(
-        docs_ds, threshold, config, driver_max_edges
-    ).select_columns(["doc_id", "cluster_id"])
+    base = minhash_dedup_keep(docs_ds, threshold, config).select_columns(
+        ["doc_id", "cluster_id"]
+    )
 
     def score(batch: pa.Table) -> pa.Table:
         q = quality_scores_batch(batch)

@@ -460,49 +460,26 @@ def duplicate_clusters_documents(
     near-dup graph: every doc_id < max_id gets the MIN doc_id of its
     component (singletons label themselves).
 
-    This oracle-checks the engine's distributed clustering core —
-    ``stages/clustering.py:hashmin_labels`` (iterative min-label
-    propagation, one groupby shuffle per round, converges in
-    O(diameter) rounds) — the same code path ``scan()`` uses above
-    ``driver_max_edges``. The DuckDB oracle computes the identical
-    labels via a recursive-CTE transitive closure over the identical
-    edge set (ngram_jaccard_pairs' SQL), so label parity pins the
-    propagation end-to-end, not just on synthetic pytest graphs.
-    The label attach is a partitioned left-outer join (no driver-side
-    label dict), coalescing missing labels to the doc's own id."""
-    from clonehunter_ray.stages.clustering import hashmin_labels
-    from clonehunter_ray.util import safe_join_partitions
-
-    edges = (
-        ngram_jaccard_pairs(sf_dir, threshold=threshold, max_id=max_id)
-        .select_columns(["a_id", "b_id"])
-        .map_batches(
-            lambda t: t.rename_columns(["unit_a", "unit_b"]),
-            batch_format="pyarrow",
-        )
+    This oracle-checks the engine's one clustering routine,
+    ``stages/clustering.py:connected_components`` (driver union-find
+    up to its edge cutover, distributed hook-and-shortcut above it),
+    the same routine ``scan()`` and ``minhash_dedup_keep`` use. The
+    DuckDB oracle computes the identical labels via a recursive-CTE
+    transitive closure over the identical edge set
+    (ngram_jaccard_pairs' SQL), so label parity pins the routine
+    end-to-end, not just on synthetic pytest graphs. Docs in no edge
+    keep their own id."""
+    from clonehunter_ray.stages.clustering import (
+        attach_labels,
+        connected_components,
     )
-    raw_labels = hashmin_labels(edges)
+
+    labels = connected_components(
+        ngram_jaccard_pairs(sf_dir, threshold=threshold, max_id=max_id),
+        columns=("a_id", "b_id"),
+    )
     docs = _read(sf_dir, "documents", ["doc_id"]).filter(
         expr=f"doc_id < {max_id}"
-    )
-    if raw_labels.schema() is None:
-        # empty edge set (no pair cleared the threshold): every doc is
-        # its own singleton cluster — no join to run (and pyarrow's
-        # hash join rejects a schema-less empty right side)
-        def _singletons(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "cluster_id": pc.cast(t["doc_id"], pa.int64()),
-                }
-            )
-
-        return docs.map_batches(_singletons, batch_format="pyarrow")
-    labels = raw_labels.map_batches(
-        lambda t: t.rename_columns(["doc_id", "min_label"]),
-        batch_format="pyarrow",
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -512,17 +489,14 @@ def duplicate_clusters_documents(
             {
                 "doc_id": batch["doc_id"],
                 "cluster_id": pc.cast(
-                    pc.coalesce(batch["min_label"], batch["doc_id"]),
-                    pa.int64(),
+                    pc.coalesce(batch["label"], batch["doc_id"]), pa.int64()
                 ),
             }
         )
 
-    from clonehunter_ray.util import safe_join
-
-    return safe_join(
-        docs, labels, "left_outer", 8, on=("doc_id",)
-    ).map_batches(finish, batch_format="pyarrow")
+    return attach_labels(docs, labels, "doc_id").map_batches(
+        finish, batch_format="pyarrow"
+    )
 
 
 def ensemble_dup_pairs(
@@ -3444,7 +3418,7 @@ def cluster_aware_split_documents(
     in train leaks the answer), so the split key is the doc's
     connected-component CLUSTER id, not the doc id.
 
-    Composition of existing primitives: the distributed hash-min
+    Composition of existing primitives: the connected-component
     cluster labels (``duplicate_clusters_documents``) plus one
     stateless salted-sha256 assignment per row — deterministic across
     re-runs/partitionings, no RNG state, ~1/8 of clusters to test at
@@ -5624,8 +5598,8 @@ def dup_cluster_size_histogram(
     the 'expected token reduction' estimate before committing to a
     full dedup pass.
 
-    Ray shape: composes ``duplicate_clusters_documents`` (hash-min
-    connected components) with two count aggregations — both over
+    Ray shape: composes ``duplicate_clusters_documents`` (connected
+    components) with two count aggregations — both over
     cluster-id-sized tables, tiny relative to the corpus. Singleton
     clusters are excluded (size >= 2): the report is about duplicate
     GROUPS, and at 100 TB the singleton count is corpus-sized noise.

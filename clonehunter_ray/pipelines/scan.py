@@ -17,7 +17,7 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       [checkpoint: pairs]
       -> groupby(pair_key).map_groups(rollup) # finding aggregation
       [checkpoint: findings]
-      -> union-find clustering (driver; hash-min loop at scale)
+      -> connected components (driver union-find; distributed loop at scale)
       [checkpoint: clusters]                   # labelled findings
 
 Only ids/hashes/shingle arrays cross the shuffles — raw ``content`` /
@@ -69,18 +69,18 @@ def _apply_shuffle_strategy(config: EngineConfig, band_rows: int) -> None:
     volume would overflow the object store and go spill-I/O-bound
     (measured 3.3x at 1.6M files, BASELINE.md round 5), pull-based
     below it where push costs a few percent. Session-level knob — Ray
-    Data has no per-operator strategy — and auto only ever UPGRADES
-    the session to push (never silently downgrades a push session)."""
-    mode = getattr(config.exec, "shuffle_strategy", "auto")
-    if mode == "pull":
-        return
+    Data has no per-operator strategy — so "pull" sets pull explicitly
+    (a session an earlier auto scan upgraded stays push otherwise),
+    while auto only ever UPGRADES the session to push (never silently
+    downgrades a push session)."""
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
 
+    mode = config.exec.shuffle_strategy
     ctx = DataContext.get_current()
-    if mode == "push" or (
-        mode == "auto" and band_rows > config.exec.push_shuffle_band_rows
-    ):
+    if mode == "pull":
+        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+    elif mode == "push" or band_rows > config.exec.push_shuffle_band_rows:
         ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
 
@@ -651,48 +651,41 @@ def scan(
     n_findings = findings.count()
     cluster_map: dict[str, int] = {}
     n_clusters = 0
+    clustering: dict = {}
     if config.cluster.enabled:
-        use_driver = n_findings <= config.cluster.driver_max_edges
 
         def _compute_labelled() -> "ray.data.Dataset":
-            if use_driver:
-                labelled, cmap = C.add_cluster_ids(findings, config.cluster)
-                _captured.update(cmap)
-                return labelled
-            # scale path: distributed hash-min labels + partitioned
-            # join attach — NO driver-side label dict (the labelled
-            # node set grows with the corpus). cluster_map stays empty
-            # here by design; consumers needing unit->cluster at this
-            # scale should read it off the findings dataset.
-            labels_ds = C.hashmin_labels(
-                findings.select_columns(["unit_a", "unit_b"])
+            labelled, cmap = C.add_cluster_ids(
+                findings, config.cluster, clustering
             )
-            return C.attach_cluster_ids_join(
-                findings, labels_ds, config.exec.shuffle_partitions or 16
-            )
+            cluster_map.update(cmap)
+            return labelled
 
-        _captured: dict[str, int] = {}
         if root is None:
             # in-memory path: label lazily, no extra materialization
             findings = _compute_labelled()
         else:
-            # checkpoint the CLUSTER MAP as its own stage (labelled
-            # findings carry cluster_id): a resumed run skips the
-            # union-find / hash-min propagation entirely
+            # checkpoint the labelled findings as their own stage: a
+            # resumed run skips connected components entirely; the
+            # clustering decision rides the stage's lineage manifest
             findings = ckpt.checkpoint_or_compute(
-                _compute_labelled, root, "clusters", fp, ckpt_stats
+                _compute_labelled, root, "clusters", fp, ckpt_stats,
+                lineage={"clustering": clustering},
             )
-        if use_driver:
-            if not _captured:
+            if ckpt_stats["clusters"] == "hit":
+                clustering.update(
+                    ckpt.read_lineage(root, "clusters")["clustering"]
+                )
+        if clustering["path"] == "driver":
+            if not cluster_map:
                 # resumed from the clusters checkpoint: rebuild the
-                # driver-path unit->cluster map from the labelled
-                # table (bounded by driver_max_edges rows)
+                # unit->cluster map from the labelled table (driver
+                # path: at most DRIVER_MAX_EDGES rows)
                 for r in findings.select_columns(
                     ["unit_a", "unit_b", "cluster_id"]
                 ).take_all():
-                    _captured[r["unit_a"]] = r["cluster_id"]
-                    _captured[r["unit_b"]] = r["cluster_id"]
-            cluster_map = _captured
+                    cluster_map[r["unit_a"]] = r["cluster_id"]
+                    cluster_map[r["unit_b"]] = r["cluster_id"]
             n_clusters = len(set(cluster_map.values()))
         else:
             n_clusters = (
@@ -755,6 +748,8 @@ def scan(
         },
         "lsh": lsh,
         "checkpoint": dict(ckpt_stats),
+        # automatic plan decisions with their inputs
+        "plan": {"clustering": clustering} if clustering else {},
     }
 
     return ScanResult(

@@ -73,8 +73,8 @@ def mixture_sample_batch(
 ) -> pa.Table:
     """Filter one Arrow batch to the per-source mixture rates.
 
-    A row survives iff the first byte of sha256(salt + text) falls
-    below ``rate * 256`` for its source. NULL text never survives
+    A row survives iff the first two bytes of sha256(salt + text)
+    fall below ``rate * 65536`` for its source. NULL text never survives
     (sha256(NULL) IS NULL in the SQL oracle)."""
     sources = batch[source_col].to_pylist()
     texts = batch[text_col].to_pylist()
@@ -117,10 +117,16 @@ def mixture_upsample_batch(
     texts = batch[text_col].to_pylist()
     n = batch.num_rows
     copies = np.zeros(n, dtype=np.int64)
+
+    def frac_threshold(frac: float) -> str | None:
+        # a fraction below the 1/65536 grid is float dust (3.000001),
+        # not a sampling rate: no extra copy
+        return "0000" if round(frac * 65536) == 0 else _rate_threshold(frac)
+
     per_source = {
         s: (
             int(np.floor(rates.get(s, default_rate))),
-            _rate_threshold(rates.get(s, default_rate) % 1.0),
+            frac_threshold(rates.get(s, default_rate) % 1.0),
         )
         for s in set(sources)
     }

@@ -1,70 +1,337 @@
 """Connected-component clustering of findings.
 
-Two paths (SURVEY.md §4 "connected components"):
+One routine, ``connected_components``, labels every node of an edge
+list with the smallest member id of its component (string unit ids or
+int64 doc ids alike). It picks one of two paths by a single edge-count
+cutover, ``DRIVER_MAX_EDGES``:
 
-* **driver union-find** (default): the findings edge list is orders of
+* **driver union-find** (up to the cutover): the edge list is orders of
   magnitude smaller than the corpus (pairs that cleared verification),
-  so collecting (unit_a, unit_b) to the driver and running union-find
-  is the pragmatic exact path — guarded by ``driver_max_edges``.
-  Cluster ids are dense ranks of each component's minimum unit_id
-  (order-free canonical form replacing the reference's first-seen
-  numbering, similarity/clustering.py:29-42).
-* **distributed hash-min label propagation** (scale path): iterate
-  "label(v) = min(label(v), min label of neighbors)" via joins +
-  groupby-min until fixpoint. O(diameter) rounds, each one shuffle.
-  Used automatically above the guard, or on request.
+  so it is collected and run through ``state.unionfind``.
+* **distributed hook-and-shortcut** (above it): the FastSV rules
+  (Zhang, Azad & Hu, SIAM PP 2020) over a parent table ``f`` and its
+  grandparent ``gf = f[f]``, each round two joins and two min-groupbys.
+  Rounds grow with log(nodes), not with component diameter; the loop
+  stops only at a fixpoint and raises past ``max_rounds``.
 
-``filter_min_cluster_size`` reproduces the reference's
-``filter_clusters`` (clustering.py:46-55): keep findings whose cluster
-has >= min_size *findings* (not members).
+``attach_labels`` puts the labels on rows (broadcast when the label
+table is driver-sized, partitioned join otherwise). ``add_cluster_ids``
+is the scan's use of both. ``filter_min_cluster_size`` reproduces the
+reference's ``filter_clusters`` (clustering.py:46-55): keep findings
+whose cluster has >= min_size *findings* (not members).
 """
 
 from __future__ import annotations
 
+import itertools
+
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
 from clonehunter_ray.config import ClusterConfig
-from clonehunter_ray.state.unionfind import cluster_labels
+from clonehunter_ray.state.unionfind import component_minima
+from clonehunter_ray.util import safe_join
+
+# Edge count up to which components are found on the driver. Not
+# measured: no benchmark workload has more than a few thousand edges.
+DRIVER_MAX_EDGES = 2_000_000
+# partitions requested for the loop's and the attach's joins (capped to
+# the cluster by util.safe_join_partitions)
+_JOIN_PARTITIONS = 16
 
 
-def collect_edges(findings_ds: "ray.data.Dataset") -> list[tuple[str, str]]:
-    edges: list[tuple[str, str]] = []
-    for batch in findings_ds.select_columns(["unit_a", "unit_b"]).iter_batches(
-        batch_format="pyarrow"
-    ):
-        edges.extend(
-            zip(batch["unit_a"].to_pylist(), batch["unit_b"].to_pylist())
+def max_rounds(n_nodes: int) -> int:
+    """Round budget of the distributed loop. Simulated FastSV runs took
+    at most ~1.2 log2(n) rounds (paths, shuffled paths, stars on chains,
+    binary trees, grids, caterpillars); the budget is twice that."""
+    return 2 * n_nodes.bit_length() + 4
+
+
+def connected_components(
+    edges_ds: "ray.data.Dataset",
+    plan: dict | None = None,
+    columns: tuple[str, str] = ("unit_a", "unit_b"),
+) -> "ray.data.Dataset":
+    """Dataset (unit_id, label): every node of the edge list ``columns``
+    labelled with the smallest member id of its component.
+
+    ``plan`` (when given) receives the decision: ``path`` ("driver" or
+    "distributed"), ``edges`` and ``rounds`` (0 on the driver)."""
+    a, b = columns
+    edges = edges_ds.select_columns([a, b]).map_batches(
+        lambda t: t.rename_columns(["unit_a", "unit_b"]),
+        batch_format="pyarrow",
+    ).materialize()
+    n_edges = edges.count()
+    if n_edges <= DRIVER_MAX_EDGES:
+        labels, path, rounds = _union_find(edges), "driver", 0
+    else:
+        (labels, rounds), path = _hook_and_shortcut(edges), "distributed"
+    if plan is not None:
+        plan.update(path=path, edges=n_edges, rounds=rounds)
+    return labels
+
+
+def _union_find(edges: "ray.data.Dataset") -> "ray.data.Dataset":
+    schema = edges.schema()
+    id_type = schema.types[0] if schema is not None else pa.null()
+
+    def pairs():
+        for t in edges.iter_batches(batch_format="pyarrow", batch_size=None):
+            yield from zip(t["unit_a"].to_pylist(), t["unit_b"].to_pylist())
+
+    minima = component_minima(pairs())
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "unit_id": pa.array(list(minima), id_type),
+                "label": pa.array(list(minima.values()), id_type),
+            }
         )
-    return edges
+    )
+
+
+def _hook_and_shortcut(
+    edges: "ray.data.Dataset",
+) -> tuple["ray.data.Dataset", int]:
+    """FastSV on Ray Data. Per round, reading the previous ``f``:
+    f[f[u]] <- min(f[f[u]], gf[v]); f[u] <- min(f[u], gf[v]);
+    f[u] <- min(f[u], gf[u]) for every edge (u, v), both directions.
+
+    ``f[u] <= u`` always holds (values only fall), so at a fixpoint
+    every node points at its component's smallest id. Join 1 builds
+    (u, f, gf); join 2 sends gf[v] along each edge; groupby 1 folds a
+    node's messages and its own gf into m[u] (and keeps f[u]); groupby
+    2 takes the min of m[u] at u and at f[u] and counts changed nodes.
+    """
+    from ray.data.aggregate import Max, Min
+
+    def both_directions(t: pa.Table) -> pa.Table:
+        a, b = t["unit_a"].combine_chunks(), t["unit_b"].combine_chunks()
+        return pa.table(
+            {"src": pa.concat_arrays([a, b]), "dst": pa.concat_arrays([b, a])}
+        )
+
+    sym = edges.map_batches(both_directions, batch_format="pyarrow").materialize()
+    # start one hook ahead: each node points at min(itself, neighbours)
+    f = (
+        sym.groupby("src")
+        .min("dst")
+        .map_batches(
+            lambda t: pa.table(
+                {
+                    "unit_id": t["src"],
+                    "f": pc.min_element_wise(t["src"], t["min(dst)"]),
+                }
+            ),
+            batch_format="pyarrow",
+        )
+        .materialize()
+    )
+    n_nodes = f.count()
+    budget = max_rounds(n_nodes)
+
+    def own(t: pa.Table) -> pa.Table:
+        return pa.table({"unit_id": t["unit_id"], "cand": t["gf"], "f": t["f"]})
+
+    def message(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "unit_id": t["src"],
+                "cand": t["cand"],
+                "f": pa.nulls(t.num_rows, t["cand"].type),
+            }
+        )
+
+    def hooks(t: pa.Table) -> pa.Table:
+        u, m, fu = (
+            t[c].combine_chunks() for c in ("unit_id", "min(cand)", "max(f)")
+        )
+        return pa.table(
+            {
+                "unit_id": pa.concat_arrays([u, fu]),
+                "cand": pa.concat_arrays([pc.min_element_wise(fu, m), m]),
+                "old": pa.concat_arrays([fu, pa.nulls(len(fu), fu.type)]),
+            }
+        )
+
+    def settle(t: pa.Table) -> pa.Table:
+        new, old = t["min(cand)"], t["max(old)"]
+        return pa.table(
+            {
+                "unit_id": t["unit_id"],
+                "f": new,
+                "changed": pc.cast(pc.not_equal(new, old), pa.int64()),
+            }
+        )
+
+    for rounds in itertools.count(1):
+        gf = safe_join(
+            f,
+            f.map_batches(
+                lambda t: t.rename_columns(["f", "gf"]), batch_format="pyarrow"
+            ),
+            "inner",
+            _JOIN_PARTITIONS,
+            on=("f",),
+        ).materialize()
+        sent = safe_join(
+            sym,
+            gf.map_batches(
+                lambda t: pa.table({"dst": t["unit_id"], "cand": t["gf"]}),
+                batch_format="pyarrow",
+            ),
+            "inner",
+            _JOIN_PARTITIONS,
+            on=("dst",),
+        ).map_batches(message, batch_format="pyarrow")
+        step = (
+            sent.union(gf.map_batches(own, batch_format="pyarrow"))
+            .groupby("unit_id")
+            .aggregate(Min("cand"), Max("f"))
+            .map_batches(hooks, batch_format="pyarrow")
+            .groupby("unit_id")
+            .aggregate(Min("cand"), Max("old"))
+            .map_batches(settle, batch_format="pyarrow")
+            .materialize()
+        )
+        changed = int(step.sum("changed") or 0)
+        f = step.select_columns(["unit_id", "f"])
+        if changed == 0:
+            return f.rename_columns(["unit_id", "label"]), rounds
+        if rounds >= budget:
+            raise RuntimeError(
+                f"connected_components: no fixpoint after {rounds} rounds "
+                f"over {n_nodes} nodes; {changed} nodes still changing"
+            )
+
+
+def _label_table(labels_ds: "ray.data.Dataset") -> pa.Table:
+    return pa.concat_tables(ray.get(labels_ds.to_arrow_refs())).combine_chunks()
+
+
+def attach_labels(
+    rows_ds: "ray.data.Dataset", labels_ds: "ray.data.Dataset", key: str
+) -> "ray.data.Dataset":
+    """``rows_ds`` plus a ``label`` column: the label of each row's
+    ``key`` in ``labels_ds`` (unit_id, label), null for a key that is
+    in no edge. A driver-sized label table (at most two nodes per edge
+    below the cutover) is broadcast; a larger one is joined."""
+    if labels_ds.count() > 2 * DRIVER_MAX_EDGES:
+        return _join_labels(rows_ds, labels_ds, key)
+    table_ref = ray.put(_label_table(labels_ds))
+
+    def lookup(batch: pa.Table) -> pa.Table:
+        table = ray.get(table_ref)
+        keys = batch[key]
+        ids = table["unit_id"].cast(keys.type).combine_chunks()
+        label = table["label"].take(pc.index_in(keys, value_set=ids))
+        if pa.types.is_null(label.type):  # no edges, so no id type seen
+            label = label.cast(keys.type)
+        return batch.append_column("label", label)
+
+    return rows_ds.map_batches(lookup, batch_format="pyarrow")
+
+
+# Ray's hash join (Arrow Acero) carries no list columns; list<string>
+# columns (the findings' reasons) cross it as \x1f-joined strings.
+# Reason tags never contain \x1f, so the round trip is lossless.
+_SEP = "\x1f"
+_PACKED = "__packed__"
+
+
+def _pack_lists(batch: pa.Table) -> pa.Table:
+    for i, field in enumerate(batch.schema):
+        if pa.types.is_list(field.type):
+            batch = batch.set_column(
+                i,
+                _PACKED + field.name,
+                pc.binary_join(batch.column(i).combine_chunks(), _SEP),
+            )
+    return batch
+
+
+def _unpack_lists(batch: pa.Table) -> pa.Table:
+    for i, field in enumerate(batch.schema):
+        if field.name.startswith(_PACKED):
+            col = batch.column(i)
+            lists = pc.if_else(
+                pc.equal(col, ""),
+                pa.scalar([], pa.list_(pa.string())),
+                pc.split_pattern(col, pattern=_SEP).cast(pa.list_(pa.string())),
+            )
+            batch = batch.set_column(i, field.name[len(_PACKED):], lists)
+    return batch
+
+
+def _join_labels(
+    rows_ds: "ray.data.Dataset", labels_ds: "ray.data.Dataset", key: str
+) -> "ray.data.Dataset":
+    labels = labels_ds.map_batches(
+        lambda t: t.rename_columns([key, "label"]), batch_format="pyarrow"
+    )
+    return safe_join(
+        rows_ds.map_batches(_pack_lists, batch_format="pyarrow"),
+        labels,
+        "left_outer",
+        _JOIN_PARTITIONS,
+        on=(key,),
+    ).map_batches(_unpack_lists, batch_format="pyarrow")
 
 
 def add_cluster_ids(
-    findings_ds: "ray.data.Dataset", config: ClusterConfig
+    findings_ds: "ray.data.Dataset",
+    config: ClusterConfig | None = None,
+    plan: dict | None = None,
 ) -> tuple["ray.data.Dataset", dict[str, int]]:
     """Label findings with cluster_id; returns (dataset, unit->cluster).
 
-    Driver union-find path; the edge list is checked against
-    ``driver_max_edges`` (beyond it, callers should use
-    ``hashmin_labels`` — see pipelines.scan.scan for the dispatch).
-    """
-    edges = collect_edges(findings_ds)
-    if len(edges) > config.driver_max_edges:
-        raise ValueError(
-            f"{len(edges)} edges exceed driver_max_edges="
-            f"{config.driver_max_edges}; use hashmin_labels"
+    On the driver path cluster_id is the dense rank 1..K of the
+    component's smallest unit_id (unionfind.cluster_labels' ids) and
+    the unit map is returned. Above the cutover the unit map would be
+    corpus-sized, so it stays empty and cluster_id is a stable 63-bit
+    hash of the smallest unit_id: its only contract downstream (rollup
+    grouping, min-size filter, reports) is "same component <=> same
+    id". ``config`` holds no clustering knob; ``plan`` is as in
+    ``connected_components``."""
+    from clonehunter_ray.functions.hashing import hash_token_u64
+
+    plan = {} if plan is None else plan
+    labels = connected_components(findings_ds, plan)
+    cluster_map: dict[str, int] = {}
+    if plan["path"] == "driver":
+        table = _label_table(labels)
+        lows = pc.unique(table["label"]).sort()
+        rank = pc.add(pc.index_in(table["label"], value_set=lows), 1)
+        cluster_map = dict(zip(table["unit_id"].to_pylist(), rank.to_pylist()))
+        ids = ray.data.from_arrow(
+            pa.table({"unit_id": table["unit_id"], "label": rank.cast(pa.int64())})
         )
-    labels = cluster_labels(edges)
-    labels_ref = ray.put(labels)
-
-    def _add(batch):
-        import pyarrow as pa
-
-        lab = ray.get(labels_ref)
-        ids = [lab.get(u, -1) for u in batch["unit_a"].to_pylist()]
-        return batch.append_column("cluster_id", pa.array(ids, pa.int64()))
-
-    return findings_ds.map_batches(_add, batch_format="pyarrow"), labels
+    else:
+        ids = labels.map_batches(
+            lambda t: pa.table(
+                {
+                    "unit_id": t["unit_id"],
+                    "label": pa.array(
+                        [
+                            hash_token_u64(s) & 0x7FFFFFFFFFFFFFFF
+                            for s in t["label"].to_pylist()
+                        ],
+                        pa.int64(),
+                    ),
+                }
+            ),
+            batch_format="pyarrow",
+        )
+    labelled = attach_labels(findings_ds, ids, "unit_a").map_batches(
+        lambda t: t.rename_columns(
+            ["cluster_id" if c == "label" else c for c in t.column_names]
+        ),
+        batch_format="pyarrow",
+    )
+    return labelled, cluster_map
 
 
 def filter_min_cluster_size(
@@ -74,8 +341,6 @@ def filter_min_cluster_size(
     per cluster_id, keep clusters with >= min_size findings."""
     if min_size <= 1:
         return findings_ds
-    import pyarrow as pa
-    import pyarrow.compute as pc
 
     counts_ds = findings_ds.groupby("cluster_id").count()
     keep = [
@@ -92,238 +357,3 @@ def filter_min_cluster_size(
         return batch.filter(mask)
 
     return findings_ds.map_batches(_filter, batch_format="pyarrow")
-
-
-def attach_cluster_ids_join(
-    findings_ds: "ray.data.Dataset",
-    labels_ds: "ray.data.Dataset",
-    num_partitions: int = 16,
-) -> "ray.data.Dataset":
-    """Scale-path cluster-id attach: partitioned left-outer join of
-    ``findings.unit_a`` against hash-min labels (no driver-side label
-    dict — the labelled-node set grows with the corpus).
-
-    ``cluster_id`` is a stable 63-bit hash of the component label (the
-    component's min unit_id), NOT a dense rank: dense renumbering
-    needs a global sort of the distinct labels, and the id's only
-    contract downstream (rollup grouping, min-size filter, reports) is
-    "same component <=> same id"."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from clonehunter_ray.functions.hashing import hash_token_u64
-    from clonehunter_ray.util import safe_join_partitions
-
-    # pyarrow's hash join rejects list<...> payload columns; pack any
-    # list<string> column (reasons) into a \x1f-delimited string for the
-    # shuffle and unpack after. Reason tags never contain \x1f or are
-    # empty strings, so the round-trip is lossless.
-    SEP = "\x1f"
-
-    def _pack_lists(batch: pa.Table) -> pa.Table:
-        for i, field in enumerate(batch.schema):
-            if pa.types.is_list(field.type) or pa.types.is_large_list(
-                field.type
-            ):
-                packed = pc.binary_join(
-                    batch.column(i).combine_chunks(), SEP
-                )
-                batch = batch.set_column(
-                    i, f"__packed__{field.name}", packed
-                )
-        return batch
-
-    from clonehunter_ray.util import safe_join
-
-    joined = safe_join(
-        findings_ds.map_batches(_pack_lists, batch_format="pyarrow"),
-        labels_ds,
-        "left_outer",
-        num_partitions,
-        on=("unit_a",),
-        right_on=("unit_id",),
-    )
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        ids = [
-            (hash_token_u64(l) & 0x7FFFFFFFFFFFFFFF) if l is not None else -1
-            for l in batch["label"].to_pylist()
-        ]
-        drop = [c for c in ("label", "unit_id") if c in batch.column_names]
-        batch = batch.drop_columns(drop).append_column(
-            "cluster_id", pa.array(ids, pa.int64())
-        )
-        for i, field in enumerate(batch.schema):
-            if field.name.startswith("__packed__"):
-                unpacked = pc.split_pattern(
-                    batch.column(i), pattern=SEP
-                )
-                empties = pc.equal(batch.column(i), "")
-                unpacked = pc.if_else(
-                    empties,
-                    pa.scalar([], pa.list_(pa.string())),
-                    unpacked.cast(pa.list_(pa.string())),
-                )
-                batch = batch.set_column(
-                    i, field.name[len("__packed__"):], unpacked
-                )
-        return batch
-
-    return joined.map_batches(_finish, batch_format="pyarrow")
-
-
-# -- distributed label propagation (scale path) -----------------------------
-
-
-def hashmin_labels(
-    edges_ds: "ray.data.Dataset",
-    max_iters: int = 30,
-    num_partitions: int = 16,
-) -> "ray.data.Dataset":
-    """Connected components via iterative min-label propagation.
-
-    Input: dataset with columns (unit_a, unit_b) of any orderable type
-    (string unit ids, int64 doc ids). Output: dataset (unit_id, label)
-    of the same type where label is the minimum unit_id of the
-    component. Each round: send each node's current label across every
-    edge, take the min of received + own labels. Converges in
-    O(component diameter) rounds; every round is one groupby shuffle
-    over ~2|E| rows.
-    """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from clonehunter_ray.util import safe_join_partitions
-
-    num_partitions = safe_join_partitions(num_partitions)
-
-    def _init(batch: pa.Table) -> pa.Table:
-        lo = pc.min_element_wise(batch["unit_a"], batch["unit_b"])
-        return pa.concat_tables(
-            [
-                pa.table({"unit_id": batch["unit_a"], "label": lo}),
-                pa.table({"unit_id": batch["unit_b"], "label": lo}),
-            ]
-        ).combine_chunks()
-
-    labels = (
-        edges_ds.map_batches(_init, batch_format="pyarrow")
-        .groupby("unit_id")
-        .min("label")
-        .map_batches(
-            lambda t: t.rename_columns(["unit_id", "label"]),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-
-    def _symmetrize(batch: pa.Table) -> pa.Table:
-        return pa.concat_tables(
-            [
-                pa.table({"src": batch["unit_a"], "dst": batch["unit_b"]}),
-                pa.table({"src": batch["unit_b"], "dst": batch["unit_a"]}),
-            ]
-        ).combine_chunks()
-
-    sym_edges = edges_ds.map_batches(
-        _symmetrize, batch_format="pyarrow"
-    ).materialize()
-
-    # Convergence witness. Min-label propagation is pointwise
-    # NON-INCREASING (new label = min of old + received), so for
-    # integer labels the total label sum is a complete change
-    # detector: sum unchanged <=> no label changed. That replaces the
-    # per-round compare JOIN (a third shuffle) with a local per-batch
-    # reduction. Per-batch sums stay exact in int64 for any realistic
-    # id domain (ids < 2^40 x 2^23-row batches < 2^63); the driver
-    # total is a Python int, so no overflow across batches. String
-    # labels (the scan path's unit ids) keep the join-based check.
-    _sch = labels.schema()  # ray.data Schema: .names / .types (Arrow)
-    if _sch is None:
-        # empty edge set -> no labeled nodes; already converged
-        return labels
-    int_labels = pa.types.is_integer(
-        dict(zip(_sch.names, _sch.types))["label"]
-    )
-
-    def _label_sum(ds) -> int:
-        parts = ds.map_batches(
-            lambda t: pa.table(
-                {
-                    "s": pa.array(
-                        [int(pc.sum(t["label"]).as_py() or 0)], pa.int64()
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-        ).take_all()
-        return sum(int(r["s"]) for r in parts)
-
-    prev_sum = _label_sum(labels) if int_labels else None
-
-    for _ in range(max_iters):
-        # join labels onto each directed edge's source, send to dest
-        lab_src = labels.map_batches(
-            lambda t: t.rename_columns(["src", "src_label"]),
-            batch_format="pyarrow",
-        )
-        from clonehunter_ray.util import safe_join
-
-        msgs = safe_join(
-            sym_edges, lab_src, "inner", num_partitions, on=("src",)
-        )
-
-        def _emit(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "unit_id": batch["dst"],
-                    "label": batch["src_label"],
-                }
-            )
-
-        candidates = msgs.map_batches(_emit, batch_format="pyarrow").union(
-            labels
-        )
-        new_labels = (
-            candidates.groupby("unit_id")
-            .min("label")
-            .map_batches(
-                lambda t: t.rename_columns(["unit_id", "label"]),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-        if int_labels:
-            # sum witness (see above): exact, no extra shuffle
-            new_sum = _label_sum(new_labels)
-            labels = new_labels
-            if new_sum == prev_sum:
-                break
-            prev_sum = new_sum
-        else:
-            # converged when no label changed (tiny join to compare)
-            from clonehunter_ray.util import safe_join
-
-            changed = (
-                safe_join(
-                    new_labels,
-                    labels.map_batches(
-                        lambda t: t.rename_columns(["unit_id", "old_label"]),
-                        batch_format="pyarrow",
-                    ),
-                    "inner",
-                    num_partitions,
-                    on=("unit_id",),
-                )
-                .map_batches(
-                    lambda t: t.filter(
-                        pc.not_equal(t["label"], t["old_label"])
-                    ),
-                    batch_format="pyarrow",
-                )
-                .count()
-            )
-            labels = new_labels
-            if changed == 0:
-                break
-    return labels

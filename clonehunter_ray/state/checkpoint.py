@@ -47,11 +47,16 @@ def is_complete(root: str, stage: str, config_fp: str) -> bool:
 
 
 def write_stage(
-    ds: "ray.data.Dataset", root: str, stage: str, config_fp: str
+    ds: "ray.data.Dataset",
+    root: str,
+    stage: str,
+    config_fp: str,
+    lineage: dict | None = None,
 ) -> "ray.data.Dataset":
     """Write ``ds`` as the checkpoint for ``stage`` and return a fresh
     Dataset reading it back (so downstream consumers stream from disk
-    instead of re-executing the upstream pipeline)."""
+    instead of re-executing the upstream pipeline). ``lineage`` entries
+    join the manifest, written atomically with the stage."""
     d = stage_dir(root, stage)
     tmp = d + ".tmp"
     if os.path.exists(tmp):
@@ -71,6 +76,7 @@ def write_stage(
                 "config_fp": config_fp,
                 "rows": rows,
                 "wall_sec": round(wall, 3),
+                **(lineage or {}),
             },
             fh,
         )
@@ -109,6 +115,7 @@ def checkpoint_or_compute(
     stage: str,
     config_fp: str,
     stats: dict | None = None,
+    lineage: dict | None = None,
 ) -> "ray.data.Dataset":
     """Return the checkpointed stage if complete, else compute + write.
 
@@ -118,6 +125,8 @@ def checkpoint_or_compute(
     store instead (test-scale convenience; checkpoints are the scale
     path). ``stats`` (when given) records hit/miss per stage — the
     analogue of the reference cache-hit counters (core/pipeline.py:50-88).
+    ``lineage`` goes to ``write_stage``; it is read after ``make_ds``
+    runs, so ``make_ds`` may fill it.
     """
     if root is None:
         if stats is not None:
@@ -129,7 +138,7 @@ def checkpoint_or_compute(
         return read_stage(root, stage)
     if stats is not None:
         stats[stage] = "miss"
-    return write_stage(make_ds(), root, stage, config_fp)
+    return write_stage(make_ds(), root, stage, config_fp, lineage)
 
 
 def resume_missing(

@@ -37,16 +37,23 @@ class UnionFind:
         return comps
 
 
-def cluster_labels(edges: list[tuple[str, str]]) -> dict[str, int]:
-    """node -> dense cluster id (1-based), clusters ordered by their
-    minimum member id — deterministic regardless of edge order."""
+def component_minima(edges) -> dict:
+    """node -> smallest member id of its component, for an iterable of
+    (a, b) edges over any orderable id type."""
     uf = UnionFind()
     for a, b in edges:
         uf.union(a, b)
-    comps = uf.components()
-    keyed = sorted((min(members), members) for members in comps.values())
-    labels: dict[str, int] = {}
-    for cid, (_, members) in enumerate(keyed, start=1):
+    minima = {}
+    for members in uf.components().values():
+        low = min(members)
         for m in members:
-            labels[m] = cid
-    return labels
+            minima[m] = low
+    return minima
+
+
+def cluster_labels(edges: list[tuple[str, str]]) -> dict[str, int]:
+    """node -> dense cluster id (1-based), clusters ordered by their
+    minimum member id — deterministic regardless of edge order."""
+    minima = component_minima(edges)
+    rank = {low: cid for cid, low in enumerate(sorted(set(minima.values())), 1)}
+    return {node: rank[low] for node, low in minima.items()}

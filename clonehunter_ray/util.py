@@ -242,7 +242,9 @@ def silence_empty_schema_warnings() -> None:
 
 def auto_actor_count(reserve: int = 2, cap: int | None = None) -> int:
     """Size an actor pool to the cluster: CPUs minus ``reserve`` slots
-    left for feeder/read tasks (min 2). A fixed small constant (the
+    left for feeder/read tasks (min 2, but never every CPU: from 2 CPUs
+    up at least one stays free, or the pool starves the read tasks
+    feeding it and the pipeline hangs). A fixed small constant (the
     easy default) caps the whole fused stage at that parallelism no
     matter how many cores the cluster has."""
     import ray
@@ -251,5 +253,12 @@ def auto_actor_count(reserve: int = 2, cap: int | None = None) -> int:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 - not initialised yet
         cpus = 8
-    n = max(2, cpus - reserve)
+    n = max(1, min(max(2, cpus - reserve), cpus - 1))
     return min(n, cap) if cap else n
+
+
+def auto_actor_pool() -> tuple[int, int]:
+    """Autoscaling ``concurrency`` tuple (2, ``auto_actor_count()``),
+    its min clamped to stay <= its max."""
+    n = auto_actor_count()
+    return min(2, n), n

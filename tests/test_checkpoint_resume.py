@@ -314,3 +314,25 @@ def test_partitioned_output_jsonl_float16_and_nested_nan(ray_session, tmp_path):
         ckpt.write_partitioned_output(
             nested, str(tmp_path / "nested"), "shard", fmt="jsonl"
         )
+
+
+def test_scan_plan_records_clustering(ray_session, tmp_path):
+    """stats["plan"]["clustering"] records the connected-components
+    decision (path, edge count, rounds) in streamed mode, in a
+    checkpointed run, and in a resume that hits the clusters stage."""
+    files, _ = generate_corpus(60, 7)
+    streamed = scan(ray.data.from_arrow(files), EngineConfig()).stats
+    root = str(tmp_path / "ck")
+    missed = _scan(files, root)[0].stats
+    resumed = _scan(files, root)[0].stats
+    assert missed["checkpoint"]["clusters"] == "miss"
+    assert resumed["checkpoint"]["clusters"] == "hit"
+    for stats in (streamed, missed, resumed):
+        rec = stats["plan"]["clustering"]
+        assert set(rec) == {"path", "edges", "rounds"}
+        assert rec == {
+            "path": "driver",
+            "edges": stats["counts"]["findings"],
+            "rounds": 0,
+        }
+    assert streamed["counts"]["findings"] > 0

@@ -37,15 +37,16 @@ def test_minhash_keep_no_dups(ray_session):
     assert out["keep"].all()
 
 
-def test_minhash_keep_distributed_no_dups(ray_session):
-    """Force the distributed hash-min label path on a dup-free corpus
-    (labels side of the attach join is globally empty)."""
+def test_minhash_keep_distributed_no_dups(ray_session, monkeypatch):
+    """Dup-free corpus with the clustering cutover forced to 0: the
+    empty edge set yields an empty label table, and every doc keeps."""
     from clonehunter_ray.pipelines import dedup
+    from clonehunter_ray.stages import clustering as C
 
+    monkeypatch.setattr(C, "DRIVER_MAX_EDGES", 0)
     out = dedup.minhash_dedup_keep(
         ray.data.from_arrow(_unique_docs()),
         threshold=0.8,
-        driver_max_edges=0,
     ).to_pandas()
     assert len(out) == 40
     assert out["keep"].all()

@@ -157,3 +157,28 @@ def test_push_shuffle_strategy_findings_identical(ray_session, tiny_corpus):
         assert (base["pair_key"].values == pushed["pair_key"].values).all()
     finally:
         ctx.shuffle_strategy = saved
+
+
+def test_pull_shuffle_strategy_overrides_an_auto_push_session():
+    """shuffle_strategy="pull" forces pull even after an earlier auto
+    scan upgraded the session to push (auto alone never downgrades)."""
+    from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
+
+    from clonehunter_ray.config import ExecConfig
+    from clonehunter_ray.pipelines.scan import _apply_shuffle_strategy
+
+    ctx = DataContext.get_current()
+    saved = ctx.shuffle_strategy
+    try:
+        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+        auto = EngineConfig(exec=ExecConfig(push_shuffle_band_rows=10))
+        _apply_shuffle_strategy(auto, band_rows=11)
+        assert ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+        _apply_shuffle_strategy(auto, band_rows=1)  # auto never downgrades
+        assert ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+        pull = EngineConfig(exec=ExecConfig(shuffle_strategy="pull"))
+        _apply_shuffle_strategy(pull, band_rows=11)
+        assert ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+    finally:
+        ctx.shuffle_strategy = saved

@@ -328,6 +328,26 @@ def test_mixture_upsample_batch_copies_and_epochs():
     assert out2.equals(out3)
 
 
+def test_mixture_upsample_float_dust_rate():
+    """A rate whose fractional part quantizes to 0 (3.000001) upsamples
+    like the integer rate instead of raising on the sub-grid fraction."""
+    batch = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "source": pa.array(["a", "b"]),
+            "text": pa.array(["x", "y"]),
+        }
+    )
+    dusty = T.mixture_upsample_batch(batch, {"a": 3.000001}, 1.0, "s:")
+    exact = T.mixture_upsample_batch(batch, {"a": 3.0}, 1.0, "s:")
+    assert dusty.equals(exact)
+    assert dusty["doc_id"].to_pylist() == [1, 1, 1, 2]
+    # just under an integer: the fraction rounds up to a certain copy
+    assert T.mixture_upsample_batch(batch, {"a": 2.9999999}, 1.0, "s:").equals(
+        exact
+    )
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_mixture_upsample_documents_oracle():
     mine = _norm(entry_query("mixture_upsample_documents"))

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import logging
 
+import pytest
+
 from clonehunter_ray.util import (
     _EmptySchemaBundleFilter,
     silence_empty_schema_warnings,
@@ -132,3 +134,20 @@ def test_get_logger_reference_format():
     fmt = logger.handlers[0].formatter._fmt
     assert fmt == "[%(levelname)s] %(message)s"
     assert get_logger() is logger  # idempotent
+
+
+@pytest.mark.parametrize(
+    "cpus,want", [(1, 1), (2, 1), (3, 2), (4, 2), (8, 6), (32, 30)]
+)
+def test_auto_actor_count_leaves_a_cpu_free(monkeypatch, cpus, want):
+    """From 2 CPUs up an actor pool never claims every CPU (at 2 the
+    signature pool starved read_parquet and the scan hung); from 3 up
+    the count is unchanged, CPUs minus 2 with a floor of 2."""
+    import ray
+
+    from clonehunter_ray.util import auto_actor_count, auto_actor_pool
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus})
+    assert auto_actor_count() == want
+    low, high = auto_actor_pool()
+    assert high == want and low == min(2, want) <= high
