@@ -208,24 +208,6 @@ class ExecConfig:
     # point and the push-faster 100k/22M point
     push_shuffle_band_rows: int = 10_000_000
     checkpoint_dir: str | None = None  # None = no checkpointing
-    # pair verification joins the candidate list back to signature
-    # payloads. When the signature table is <= this many snippets the
-    # payload blocks stay in the object store and every worker maps
-    # them zero-copy (plus a ~150 B/row id->index dict per worker) —
-    # no shuffle, and the band exchange shrinks to (u64, i32) rows.
-    # Above it, two partitioned hash joins (the scale path). 0 forces
-    # the join path. 2M snippets ~= 3 GB plasma + ~300 MB heap/worker,
-    # comfortably within a 128 GB node; measured: the join path was 7x
-    # slower than broadcast at 423k snippets.
-    broadcast_signatures_limit: int = 2_000_000
-    # scale-path (join) only: when the deduped pair table has <= this
-    # many rows, its distinct snippet-id set is broadcast once and the
-    # signature side is FILTERED to paired ids before the four hash
-    # joins (measured 400k files: 157k pairs vs 2.83M signatures — the
-    # unpruned joins shipped 89% dead payload). Above the limit the
-    # id set stops being broadcastable and the joins run unpruned.
-    # 20M pairs ~= 2.5 GB of 64-byte ids in plasma.
-    pair_id_prune_limit: int = 20_000_000
     # Without a checkpoint dir the scan STREAMS verified pairs straight
     # into the findings shuffle (no barrier). Set True when the caller
     # will consume ScanResult.pairs separately (e.g. CLI --save-tables):

@@ -186,11 +186,53 @@ def _dedupe_int_pairs_partition(partition: pa.Table) -> pa.Table:
         partition = partition.append_column(
             "capped", pa.array([False] * partition.num_rows, pa.bool_())
         )
-    df = partition.select(["a_id", "b_id", "capped"]).to_pandas()
-    out = df.groupby(["a_id", "b_id"], as_index=False, sort=False).agg(
-        capped=("capped", "any")
+    g = partition.group_by(["a_id", "b_id"], use_threads=False).aggregate(
+        [("capped", "any")]
     )
-    return pa.Table.from_pandas(out, preserve_index=False).cast(_INT_PAIRS_SCHEMA)
+    return pa.table(
+        [g["a_id"], g["b_id"], g["capped_any"]], schema=_INT_PAIRS_SCHEMA
+    )
+
+
+def _part_column(t: pa.Table, key: np.ndarray, num_partitions: int) -> pa.Table:
+    part = (key.astype(np.uint64) % np.uint64(num_partitions)).astype(np.int64)
+    return t.append_column("part", pa.array(part, pa.int64()))
+
+
+def _pair_hash(t: pa.Table) -> np.ndarray:
+    a = t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    b = t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    return a * np.uint64(0x9E3779B97F4A7C15) ^ b
+
+
+def band_pairs(
+    bands: "ray.data.Dataset", emit, num_partitions: int
+) -> "ray.data.Dataset":
+    """The document LSH pair shuffle, shared by every int-id near-dup
+    pipeline: exploded ``(band_key, doc_id[, side])`` rows are
+    partitioned by ``band_key % P`` and each partition goes through
+    ``emit`` (one partition table -> ``(a_id, b_id, capped)`` pairs;
+    buckets are runs of the sorted band key inside it), then the pairs
+    are partitioned by a hash of ``(a_id, b_id)`` and deduplicated, a
+    pair's ``capped`` flag being set when any of its emissions was
+    capped. Only int ids cross both shuffles; payloads attach after
+    (stages/candidates.attach_pair_payload)."""
+    return (
+        bands.map_batches(
+            lambda t: _part_column(
+                t, t["band_key"].to_numpy(zero_copy_only=False), num_partitions
+            ),
+            batch_format="pyarrow",
+        )
+        .groupby("part")
+        .map_groups(emit, batch_format="pyarrow")
+        .map_batches(
+            lambda t: _part_column(t, _pair_hash(t), num_partitions),
+            batch_format="pyarrow",
+        )
+        .groupby("part")
+        .map_groups(_dedupe_int_pairs_partition, batch_format="pyarrow")
+    )
 
 
 def minhash_dedup_pairs(
@@ -199,7 +241,6 @@ def minhash_dedup_pairs(
     config: SignatureConfig | None = None,
     concurrency: int | None = None,
     num_partitions: int = 64,
-    broadcast_limit: int = 2_000_000,
     max_bucket_pairs_full: int = 1024,
     metrics=None,
 ) -> "ray.data.Dataset":
@@ -207,11 +248,13 @@ def minhash_dedup_pairs(
     MinHash-LSH, mirroring the scan pipeline's shape: ids-only band
     shuffle -> hash-partitioned vectorized pair generation (hot
     buckets: hub-spoke star + salted re-band, ``capped`` flag
-    propagated to the output for recall accounting) -> pair dedup ->
-    shingle payload attach (plasma-resident broadcast table below
-    ``broadcast_limit`` docs — never a driver-heap dict — partitioned
-    hash join above) -> exact Jaccard verification in ``map_batches``.
+    propagated to the output for recall accounting) -> pair dedup
+    (``band_pairs``) -> shingle payload attach
+    (stages/candidates.attach_pair_payload: plasma broadcast when the
+    signature table fits its one size rule, partitioned hash joins
+    above) -> exact Jaccard verification in ``map_batches``.
     """
+    from clonehunter_ray.stages.candidates import attach_pair_payload
     from clonehunter_ray.util import auto_actor_pool
 
     config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
@@ -230,24 +273,10 @@ def minhash_dedup_pairs(
         batch_format="pyarrow",
     ).materialize()  # reused by the band shuffle AND the payload attach
 
-    bands = (
-        sig.select_columns(["doc_id", "band_keys"])
-        .map_batches(_explode_doc_bands_ids, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.append_column(
-                "part",
-                pa.array(
-                    (
-                        t["band_key"].to_numpy(zero_copy_only=False)
-                        % np.uint64(num_partitions)
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    cand = bands.groupby("part").map_groups(
+    pairs = band_pairs(
+        sig.select_columns(["doc_id", "band_keys"]).map_batches(
+            _explode_doc_bands_ids, batch_format="pyarrow"
+        ),
         lambda g: _emit_doc_pairs_partition(
             g,
             max_bucket_pairs_full,
@@ -255,29 +284,8 @@ def minhash_dedup_pairs(
             salt_rounds=config.salt_rounds,
             metrics=metrics,
         ),
-        batch_format="pyarrow",
+        num_partitions,
     )
-    deduped = cand.map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    (
-                        t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                        * np.uint64(0x9E3779B97F4A7C15)
-                        ^ t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    )
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    ).groupby("part").map_groups(
-        _dedupe_int_pairs_partition, batch_format="pyarrow"
-    )
-
-    n_docs = sig.count()
     verified_schema = pa.schema(
         [
             ("a_id", pa.int64()),
@@ -286,103 +294,27 @@ def minhash_dedup_pairs(
             ("capped", pa.bool_()),
         ]
     )
-    if n_docs <= broadcast_limit:
-        # shingle payload stays in plasma: blocks combined ONCE in a
-        # remote task, every worker maps the combined table zero-copy
-        # (scan.py's broadcast pattern — a driver-heap dict of 2M
-        # shingle blobs would be tens of GB on one process)
-        from clonehunter_ray.stages.candidates import (
-            get_broadcast_payload,
-            make_broadcast_handle,
-        )
 
-        handle = make_broadcast_handle(
-            sig, ["doc_id", "shingles"], key_col="doc_id"
-        )
-
-        def verify(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return verified_schema.empty_table()
-            table, idx = get_broadcast_payload(handle)
-            blobs = table["shingles"]
-            rows_a = pa.array(
-                [idx[x] for x in batch["a_id"].to_pylist()], pa.int64()
-            )
-            rows_b = pa.array(
-                [idx[y] for y in batch["b_id"].to_pylist()], pa.int64()
-            )
-            # one vectorized lexsort kernel replaces the per-pair
-            # frombuffer+intersect loop (functions/hashing.jaccard_batch)
-            jac = H.jaccard_batch(blobs.take(rows_a), blobs.take(rows_b))
-            sel = pa.array(np.flatnonzero(jac >= threshold), pa.int64())
-            return pa.table(
-                {
-                    "a_id": batch["a_id"].take(sel),
-                    "b_id": batch["b_id"].take(sel),
-                    "jaccard": pa.array(
-                        jac[sel.to_numpy(zero_copy_only=False)], pa.float64()
-                    ),
-                    "capped": batch["capped"].take(sel),
-                },
-                schema=verified_schema,
-            )
-
-        return deduped.map_batches(verify, batch_format="pyarrow")
-
-    # scale path: two partitioned hash joins to attach each side's blob
-    from clonehunter_ray.util import safe_join_partitions
-
-    num_partitions = safe_join_partitions(num_partitions)
-    payload = sig.select_columns(["doc_id", "shingles"])
-    a_side = payload.map_batches(
-        lambda t: t.rename_columns(["a_id", "a_shingles"]), batch_format="pyarrow"
-    )
-    b_side = payload.map_batches(
-        lambda t: t.rename_columns(["b_id", "b_shingles"]), batch_format="pyarrow"
-    )
-    from clonehunter_ray.util import safe_join
-
-    # zero candidate pairs (dup-free corpus) leave the join's left
-    # sequence globally empty, which crashes Ray's hash join (see
-    # util.left_attach_or_nulls). The pair table is ids-only and
-    # bounded by the banding caps — materializing it for the gate is
-    # cheap relative to the payload joins it feeds.
-    deduped = deduped.select_columns(["a_id", "b_id", "capped"]).materialize()
-    if deduped.count() == 0:
-        return ray.data.from_arrow(verified_schema.empty_table())
-
-    joined = safe_join(
-        safe_join(
-            deduped,
-            a_side,
-            "inner",
-            num_partitions,
-            on=("a_id",),
-        ),
-        b_side,
-        "inner",
-        num_partitions,
-        on=("b_id",),
-    )
-
-    def verify_joined(batch: pa.Table) -> pa.Table:
+    def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return verified_schema.empty_table()
+        # one vectorized lexsort kernel replaces the per-pair
+        # frombuffer+intersect loop (functions/hashing.jaccard_batch)
         jac = H.jaccard_batch(batch["a_shingles"], batch["b_shingles"])
-        sel = pa.array(np.flatnonzero(jac >= threshold), pa.int64())
+        sel = np.flatnonzero(jac >= threshold)
         return pa.table(
             {
                 "a_id": batch["a_id"].take(sel),
                 "b_id": batch["b_id"].take(sel),
-                "jaccard": pa.array(
-                    jac[sel.to_numpy(zero_copy_only=False)], pa.float64()
-                ),
+                "jaccard": pa.array(jac[sel], pa.float64()),
                 "capped": batch["capped"].take(sel),
             },
             schema=verified_schema,
         )
 
-    return joined.map_batches(verify_joined, batch_format="pyarrow")
+    return attach_pair_payload(
+        pairs, sig, "doc_id", ["shingles"], num_partitions
+    ).map_batches(verify, batch_format="pyarrow")
 
 
 @ray.remote(num_cpus=0)
@@ -777,14 +709,11 @@ _SIMHASH_PAIRS_SCHEMA = pa.schema(
 def _dedupe_simhash_pairs_partition(t: pa.Table) -> pa.Table:
     if t.num_rows == 0:
         return _SIMHASH_PAIRS_SCHEMA.empty_table()
-    out = (
-        t.select(["a_id", "b_id", "hamming"])
-        .to_pandas()
-        .sort_values("hamming")
-        .drop_duplicates(["a_id", "b_id"])
+    g = t.group_by(["a_id", "b_id"], use_threads=False).aggregate(
+        [("hamming", "min")]
     )
-    return pa.Table.from_pandas(out, preserve_index=False).cast(
-        _SIMHASH_PAIRS_SCHEMA
+    return pa.table(
+        [g["a_id"], g["b_id"], g["hamming_min"]], schema=_SIMHASH_PAIRS_SCHEMA
     )
 
 

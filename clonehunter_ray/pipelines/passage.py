@@ -24,9 +24,10 @@ shuffles):
    re-band cap of pipelines/dedup._emit_doc_pairs_partition (hot
    grams = boilerplate; the cap keeps a 10M-doc license header from
    emitting 10M^2 pairs while ``capped`` rides to the output).
-3. verify       — token blobs attached (plasma broadcast below
-   ``broadcast_limit`` docs, partitioned hash join above — the same
-   cutover as minhash_dedup_pairs), then the exact suffix-array
+3. verify       — token blobs attached by the attach every document
+   pair pipeline shares, stages/candidates.attach_pair_payload (plasma
+   broadcast when the fingerprint table fits its row-and-byte size
+   rule, partitioned hash joins above), then the exact suffix-array
    matching-statistics kernel per pair: positions p in the LARGER
    doc_id with ms[p] >= min_len, union-merged into maximal spans.
    Keeper semantics: the smaller doc_id keeps its copy, the larger
@@ -48,8 +49,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
-import ray.data
 
 from clonehunter_ray.functions import hashing as H
 from clonehunter_ray.functions.substring import (
@@ -166,24 +165,11 @@ def _verify_pair_batch(
     return pa.table(out, schema=_SPAN_PAIR_SCHEMA)
 
 
-def passage_dup_span_pairs(
-    docs_ds: "ray.data.Dataset",
-    min_len: int = 25,
-    gram_len: int | None = None,
-    window: int | None = None,
-    num_partitions: int = 64,
-    broadcast_limit: int = 2_000_000,
-    max_bucket_pairs_full: int = 1024,
-) -> "ray.data.Dataset":
-    """All (keeper a_id < dup b_id) pairs with the maximal verbatim
-    token spans of b duplicated from a (span length >= ``min_len``
-    tokens). Detection is exact for spans >= ``min_len`` up to the
-    hot-gram cap (``capped`` column accounts for those buckets)."""
-    from clonehunter_ray.pipelines.dedup import (
-        _dedupe_int_pairs_partition,
-        _emit_doc_pairs_partition,
-    )
-
+def _winnow_params(
+    min_len: int, gram_len: int | None, window: int | None
+) -> tuple[int, int]:
+    """(gram_len, window) defaults for a ``min_len`` detection
+    guarantee, validated."""
     if gram_len is None:
         gram_len = max(2, (min_len + 1) // 2)
     if window is None:
@@ -198,146 +184,18 @@ def passage_dup_span_pairs(
         # or gram_len > min_len) but crashes winnowing's
         # sliding_window_view with an opaque error inside a Ray task
         raise ValueError(f"derived winnow window ({window}) must be >= 1")
-
-    sig = docs_ds.map_batches(
-        lambda t: _fingerprint_batch(t, gram_len, window),
-        batch_format="pyarrow",
-        # modest batches: the token blobs are the corpus itself
-        batch_size=256,
-    ).materialize()  # reused by the gram shuffle AND the payload attach
-
-    bands = sig.select_columns(["doc_id", "grams"]).map_batches(
-        _explode_grams, batch_format="pyarrow"
-    ).map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    t["band_key"].to_numpy(zero_copy_only=False)
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
-    cand = bands.groupby("part").map_groups(
-        lambda g: _emit_doc_pairs_partition(g, max_bucket_pairs_full),
-        batch_format="pyarrow",
-    )
-    deduped = cand.map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    (
-                        t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                        * np.uint64(0x9E3779B97F4A7C15)
-                        ^ t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    )
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    ).groupby("part").map_groups(
-        _dedupe_int_pairs_partition, batch_format="pyarrow"
-    )
-
-    return _attach_and_verify(
-        sig, deduped, min_len, broadcast_limit, num_partitions
-    )
+    return gram_len, window
 
 
-def _attach_and_verify(
-    sig,
-    deduped,
-    min_len: int,
-    broadcast_limit: int,
-    num_partitions: int,
-):
-    """Shared verification tail: attach both sides' token blobs to the
-    deduped (a_id, b_id, capped) candidate pairs — plasma broadcast
-    below ``broadcast_limit`` docs, two partitioned hash joins above —
-    then run the exact matching-statistics span kernel per pair.
+def _span_pairs(sig, bands, emit, min_len: int, num_partitions: int):
+    """Shared tail of the self-dedup and decontamination pipelines:
+    the gram shuffle (dedup.band_pairs), token blobs attached to the
+    deduped pairs (stages/candidates.attach_pair_payload), then the
+    exact matching-statistics span kernel per pair."""
+    from clonehunter_ray.pipelines.dedup import band_pairs
+    from clonehunter_ray.stages.candidates import attach_pair_payload
 
-    The broadcast payload here is the corpus' token blobs (unbounded
-    per doc), NOT fixed-size sketches, so the doc-count gate alone is
-    the wrong unit: a BYTE gate (4 GiB default) backstops it — a
-    corpus under the doc limit but over the byte limit takes the join
-    path instead of building one plasma object the store can't hold."""
-    n_docs = sig.count()
-    sig_bytes = sig.size_bytes() or 0
-    if n_docs <= broadcast_limit and sig_bytes <= (4 << 30):
-        from clonehunter_ray.stages.candidates import (
-            get_broadcast_payload,
-            make_broadcast_handle,
-        )
-
-        handle = make_broadcast_handle(
-            sig, ["doc_id", "tokens"], key_col="doc_id"
-        )
-
-        def verify(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return _SPAN_PAIR_SCHEMA.empty_table()
-            table, idx = get_broadcast_payload(handle)
-            blobs = table["tokens"]
-            a_rows = pa.array(
-                [idx[x] for x in batch["a_id"].to_pylist()], pa.int64()
-            )
-            b_rows = pa.array(
-                [idx[y] for y in batch["b_id"].to_pylist()], pa.int64()
-            )
-            return _verify_pair_batch(
-                blobs.take(a_rows).to_pylist(),
-                blobs.take(b_rows).to_pylist(),
-                batch["a_id"].to_pylist(),
-                batch["b_id"].to_pylist(),
-                batch["capped"].to_pylist(),
-                min_len,
-            )
-
-        return deduped.map_batches(verify, batch_format="pyarrow")
-
-    # scale path: two partitioned hash joins attach each side's blob
-    from clonehunter_ray.util import safe_join_partitions
-
-    nparts = safe_join_partitions(num_partitions)
-    payload = sig.select_columns(["doc_id", "tokens"])
-    a_side = payload.map_batches(
-        lambda t: t.rename_columns(["a_id", "a_tokens"]),
-        batch_format="pyarrow",
-    )
-    b_side = payload.map_batches(
-        lambda t: t.rename_columns(["b_id", "b_tokens"]),
-        batch_format="pyarrow",
-    )
-    from clonehunter_ray.util import safe_join
-
-    # zero candidate pairs leave the join's left sequence globally
-    # empty, which crashes Ray's hash join (util.left_attach_or_nulls
-    # documents the mechanism); the pair table is ids-only and capped
-    deduped = deduped.select_columns(["a_id", "b_id", "capped"]).materialize()
-    if deduped.count() == 0:
-        return ray.data.from_arrow(_SPAN_PAIR_SCHEMA.empty_table())
-
-    joined = safe_join(
-        safe_join(
-            deduped,
-            a_side,
-            "inner",
-            nparts,
-            on=("a_id",),
-        ),
-        b_side,
-        "inner",
-        nparts,
-        on=("b_id",),
-    )
-
-    def verify_joined(batch: pa.Table) -> pa.Table:
+    def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return _SPAN_PAIR_SCHEMA.empty_table()
         return _verify_pair_batch(
@@ -349,7 +207,46 @@ def _attach_and_verify(
             min_len,
         )
 
-    return joined.map_batches(verify_joined, batch_format="pyarrow")
+    return attach_pair_payload(
+        band_pairs(bands, emit, num_partitions),
+        sig,
+        "doc_id",
+        ["tokens"],
+        num_partitions,
+    ).map_batches(verify, batch_format="pyarrow")
+
+
+def passage_dup_span_pairs(
+    docs_ds: "ray.data.Dataset",
+    min_len: int = 25,
+    gram_len: int | None = None,
+    window: int | None = None,
+    num_partitions: int = 64,
+    max_bucket_pairs_full: int = 1024,
+) -> "ray.data.Dataset":
+    """All (keeper a_id < dup b_id) pairs with the maximal verbatim
+    token spans of b duplicated from a (span length >= ``min_len``
+    tokens). Detection is exact for spans >= ``min_len`` up to the
+    hot-gram cap (``capped`` column accounts for those buckets)."""
+    from clonehunter_ray.pipelines.dedup import _emit_doc_pairs_partition
+
+    gram_len, window = _winnow_params(min_len, gram_len, window)
+    sig = docs_ds.map_batches(
+        lambda t: _fingerprint_batch(t, gram_len, window),
+        batch_format="pyarrow",
+        # modest batches: the token blobs are the corpus itself
+        batch_size=256,
+    ).materialize()  # reused by the gram shuffle AND the payload attach
+
+    return _span_pairs(
+        sig,
+        sig.select_columns(["doc_id", "grams"]).map_batches(
+            _explode_grams, batch_format="pyarrow"
+        ),
+        lambda g: _emit_doc_pairs_partition(g, max_bucket_pairs_full),
+        min_len,
+        num_partitions,
+    )
 
 
 _SPAN_SCHEMA = pa.schema(
@@ -775,7 +672,6 @@ def passage_decontaminate_spans(
     gram_len: int | None = None,
     window: int | None = None,
     num_partitions: int = 64,
-    broadcast_limit: int = 2_000_000,
     max_bucket_pairs: int = 1024,
 ) -> "ray.data.Dataset":
     """Span-level benchmark decontamination (the GPT-3 13-gram recipe
@@ -795,20 +691,7 @@ def passage_decontaminate_spans(
     Doc ids must be unique ACROSS the two inputs (they address the
     shared token-blob table).
     """
-    if gram_len is None:
-        gram_len = max(2, (min_len + 1) // 2)
-    if window is None:
-        window = min_len - gram_len + 1
-    if gram_len + window - 1 != min_len:
-        raise ValueError(
-            f"gram_len ({gram_len}) + window ({window}) - 1 must equal "
-            f"min_len ({min_len}) for the winnowing guarantee"
-        )
-    if window < 1:
-        # window 0/negative passes the identity above (e.g. min_len=1,
-        # or gram_len > min_len) but crashes winnowing's
-        # sliding_window_view with an opaque error inside a Ray task
-        raise ValueError(f"derived winnow window ({window}) must be >= 1")
+    gram_len, window = _winnow_params(min_len, gram_len, window)
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -841,49 +724,14 @@ def passage_decontaminate_spans(
         )
         return base.append_column("side", pa.array(sides, pa.int8()))
 
-    bands = sig.select_columns(["doc_id", "grams", "side"]).map_batches(
-        explode_side, batch_format="pyarrow"
-    ).map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    t["band_key"].to_numpy(zero_copy_only=False)
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
+    pairs = _span_pairs(
+        sig,
+        sig.select_columns(["doc_id", "grams", "side"]).map_batches(
+            explode_side, batch_format="pyarrow"
         ),
-        batch_format="pyarrow",
-    )
-    from clonehunter_ray.pipelines.dedup import _dedupe_int_pairs_partition
-
-    cand = bands.groupby("part").map_groups(
         lambda g: _emit_cross_side_pairs_partition(g, max_bucket_pairs),
-        batch_format="pyarrow",
-    )
-    deduped = cand.map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    (
-                        t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                        * np.uint64(0x9E3779B97F4A7C15)
-                        ^ t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    )
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    ).groupby("part").map_groups(
-        _dedupe_int_pairs_partition, batch_format="pyarrow"
-    )
-
-    pairs = _attach_and_verify(
-        sig, deduped, min_len, broadcast_limit, num_partitions
+        min_len,
+        num_partitions,
     )
 
     return pairs.groupby("b_id").map_groups(_merge_spans_doc, batch_format="pyarrow")

@@ -155,31 +155,60 @@ def doc_quality_counts(sf_dir: str):
     )
 
 
+_JAC6_SCHEMA = pa.schema(
+    [("a_id", pa.int64()), ("b_id", pa.int64()), ("jac6", pa.float64())]
+)
+
+
+def _jac6_verify(threshold: float):
+    """Exact token-set Jaccard verify over ``a_tok_hashes`` /
+    ``b_tok_hashes`` (attached by stages/candidates.attach_pair_payload):
+    pairs with jac >= threshold as (a_id, b_id, jac6)."""
+
+    def verify(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return _JAC6_SCHEMA.empty_table()
+        jac = H.jaccard_batch(batch["a_tok_hashes"], batch["b_tok_hashes"])
+        sel = np.flatnonzero(jac >= threshold)
+        return pa.table(
+            {
+                "a_id": batch["a_id"].take(sel),
+                "b_id": batch["b_id"].take(sel),
+                # Python round (correctly-rounded decimal) — np.round can
+                # differ by 1 ulp and the oracle hash-compare is exact
+                "jac6": pa.array(
+                    [round(float(v), 6) for v in jac[sel]], pa.float64()
+                ),
+            },
+            schema=_JAC6_SCHEMA,
+        )
+
+    return verify
+
+
 def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.6, max_id: int = 500):
     """Token-set Jaccard >= threshold pairs among doc_id < max_id.
 
     LSH params give ~certain recall at the threshold (band_rows=2,
     num_bands=64: miss probability (1-0.36)^64 ≈ 4e-13 at j=0.6).
 
-    Pipeline shape mirrors minhash_dedup_pairs (the engine's one LSH
-    shuffle design): ids-only (band_key:u64, doc_id:i64) band explode
-    — the token payload NEVER rides the x64-band shuffle — then
-    hash-partitioned vectorized pair emit + pair dedup (P partition
-    UDF calls, not one per bucket/pair), then the token-hash payload
-    is attached from a plasma-resident broadcast table and exact
+    Pipeline shape is minhash_dedup_pairs' (the engine's one document
+    pair path): ids-only (band_key:u64, doc_id:i64) band explode — the
+    token payload NEVER rides the x64-band shuffle — then
+    dedup.band_pairs (hash-partitioned vectorized pair emit + pair
+    dedup, P partition UDF calls, not one per bucket/pair), then the
+    token-hash payload attached by stages/candidates.attach_pair_payload
+    (plasma broadcast or partitioned joins, its size rule) and exact
     Jaccard verified per batch. This is the SQL-exact variant, so hot
     buckets emit ALL pairs (no hub-spoke cap); the capped/salted scale
     path is pipelines/dedup.py:minhash_dedup_pairs.
     """
     from clonehunter_ray.pipelines.dedup import (
-        _dedupe_int_pairs_partition,
         _emit_doc_pairs_partition,
         _explode_doc_bands_ids,
+        band_pairs,
     )
-    from clonehunter_ray.stages.candidates import (
-        get_broadcast_payload,
-        make_broadcast_handle,
-    )
+    from clonehunter_ray.stages.candidates import attach_pair_payload
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"]).filter(
         expr=f"doc_id < {max_id}"
@@ -201,81 +230,21 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.6, max_id: int = 500):
         )
 
     sig = docs.map_batches(signatures, batch_format="pyarrow").materialize()
-    handle = make_broadcast_handle(sig, ["doc_id", "tok_hashes"], key_col="doc_id")
-
-    bands = (
-        sig.select_columns(["doc_id", "band_keys"])
-        .map_batches(_explode_doc_bands_ids, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.append_column(
-                "part",
-                pa.array(
-                    (
-                        t["band_key"].to_numpy(zero_copy_only=False)
-                        % np.uint64(num_partitions)
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    # full emission (cap -> maxint): SQL-equality demands every pair
-    cand = bands.groupby("part").map_groups(
-        lambda g: _emit_doc_pairs_partition(g, max_bucket_pairs_full=1 << 30),
-        batch_format="pyarrow",
-    )
-    deduped = cand.map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    (
-                        t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                        * np.uint64(0x9E3779B97F4A7C15)
-                        ^ t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    )
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
+    pairs = band_pairs(
+        sig.select_columns(["doc_id", "band_keys"]).map_batches(
+            _explode_doc_bands_ids, batch_format="pyarrow"
         ),
-        batch_format="pyarrow",
-    ).groupby("part").map_groups(_dedupe_int_pairs_partition, batch_format="pyarrow")
-
-    def verify(batch: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            [("a_id", pa.int64()), ("b_id", pa.int64()), ("jac6", pa.float64())]
-        )
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
-        table, idx = get_broadcast_payload(handle)
-        blobs = table["tok_hashes"]
-        rows_a = pa.array(
-            [idx[x] for x in batch["a_id"].to_pylist()], pa.int64()
-        )
-        rows_b = pa.array(
-            [idx[y] for y in batch["b_id"].to_pylist()], pa.int64()
-        )
-        jac = H.jaccard_batch(blobs.take(rows_a), blobs.take(rows_b))
-        sel_np = np.flatnonzero(jac >= threshold)
-        sel = pa.array(sel_np, pa.int64())
-        return pa.table(
-            {
-                "a_id": batch["a_id"].take(sel),
-                "b_id": batch["b_id"].take(sel),
-                # Python round (correctly-rounded decimal) — np.round can
-                # differ by 1 ulp and the oracle hash-compare is exact
-                "jac6": pa.array(
-                    [round(float(v), 6) for v in jac[sel_np]], pa.float64()
-                ),
-            },
-            schema=out_schema,
-        )
-
-    return deduped.select_columns(["a_id", "b_id"]).map_batches(
-        verify, batch_format="pyarrow"
+        # full emission (cap -> maxint): SQL-equality demands every pair
+        lambda g: _emit_doc_pairs_partition(g, max_bucket_pairs_full=1 << 30),
+        num_partitions,
     )
+    return attach_pair_payload(
+        pairs.select_columns(["a_id", "b_id"]),
+        sig,
+        "doc_id",
+        ["tok_hashes"],
+        num_partitions,
+    ).map_batches(_jac6_verify(threshold), batch_format="pyarrow")
 
 
 def _bench_mod_filter(bench_mod: int, want_bench: bool):
@@ -314,16 +283,33 @@ def fuzzy_decontaminate_documents(
     (no LSH recall caveat), no shuffle, nothing corpus-sized on the
     driver. jac uses the empty-union-is-0 convention on both engines;
     max_jac6 is Python-rounded per row for DuckDB hash parity.
+
+    The small-bench assumption is enforced: the bench side is
+    materialized once and sized by stages/candidates.fits_broadcast,
+    and a bench side over that cutover raises ``ValueError`` instead
+    of being collected onto the driver.
     """
+    from clonehunter_ray.stages import candidates
+
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    bench = (
+        docs.map_batches(_bench_mod_filter(bench_mod, True), batch_format="pyarrow")
+        .select_columns(["text"])
+        .materialize()
+    )
+    fits, rows, nbytes = candidates.fits_broadcast(bench)
+    if not fits:
+        raise ValueError(
+            f"fuzzy_decontaminate_documents: the benchmark side ({rows} "
+            f"rows, {nbytes} bytes) is over the broadcast cutover "
+            f"({candidates.BROADCAST_MAX_ROWS} rows, "
+            f"{candidates.BROADCAST_MAX_BYTES} bytes); it is collected "
+            "onto the driver, so this shape needs a smaller benchmark set"
+        )
 
     # driver-side CSR index over the (small) benchmark token sets
     bench_sets: list[np.ndarray] = []
-    for t in ray.get(
-        docs.map_batches(_bench_mod_filter(bench_mod, True), batch_format="pyarrow")
-        .select_columns(["text"])
-        .to_arrow_refs()
-    ):
+    for t in ray.get(bench.to_arrow_refs()):
         if t.num_rows:
             th = H.tokenize_hash_texts(t["text"])
             bench_sets.extend(H.token_set_hashes(x) for x in th)
@@ -510,17 +496,16 @@ def ensemble_dup_pairs(
     Jaccard anchors the decision to shared surface text). Shape:
     candidates come from the exact cosine pair path (normalized corpus
     broadcast once via plasma, block-row Gram per task, no shuffle);
-    the token-hash payload is then attached from a second plasma
-    broadcast table and Jaccard-verified per batch — candidates stay
-    ids-only end-to-end, payloads never ride a shuffle. Both stages
-    are the same kernels the single-signal paths use
-    (similarity.embedding_cosine_pairs_exact, H.jaccard_batch), so the
-    ensemble adds one stateless verify stage, not new machinery."""
+    the token-hash payload is then attached by
+    stages/candidates.attach_pair_payload (plasma broadcast or
+    partitioned joins, its size rule; a candidate with no document row
+    drops out) and Jaccard-verified per batch — candidates stay
+    ids-only end-to-end. Both stages are the same kernels the
+    single-signal paths use (similarity.embedding_cosine_pairs_exact,
+    H.jaccard_batch), so the ensemble adds one verify stage, not new
+    machinery."""
     from clonehunter_ray.pipelines.similarity import embedding_cosine_pairs_exact
-    from clonehunter_ray.stages.candidates import (
-        get_broadcast_payload,
-        make_broadcast_handle,
-    )
+    from clonehunter_ray.stages.candidates import attach_pair_payload
 
     cand = embedding_cosine_pairs_exact(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -538,50 +523,12 @@ def ensemble_dup_pairs(
             }
         )
 
-    tok = (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(toks, batch_format="pyarrow")
-        .materialize()
+    tok = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        toks, batch_format="pyarrow"
     )
-    handle = make_broadcast_handle(tok, ["doc_id", "tok_hashes"], key_col="doc_id")
-
-    out_schema = pa.schema(
-        [("a_id", pa.int64()), ("b_id", pa.int64()), ("jac6", pa.float64())]
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
-        table, idx = get_broadcast_payload(handle)
-        blobs = table["tok_hashes"]
-        # drop candidates with no document row (ids are 1:1 in the
-        # testdata; this guards corpora where embeddings outrun docs)
-        a_ids = batch["a_id"].to_pylist()
-        b_ids = batch["b_id"].to_pylist()
-        keep = [i for i, (x, y) in enumerate(zip(a_ids, b_ids)) if x in idx and y in idx]
-        if len(keep) < batch.num_rows:
-            batch = batch.take(pa.array(keep, pa.int64()))
-            a_ids = [a_ids[i] for i in keep]
-            b_ids = [b_ids[i] for i in keep]
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
-        rows_a = pa.array([idx[x] for x in a_ids], pa.int64())
-        rows_b = pa.array([idx[y] for y in b_ids], pa.int64())
-        jac = H.jaccard_batch(blobs.take(rows_a), blobs.take(rows_b))
-        sel_np = np.flatnonzero(jac >= jac_threshold)
-        sel = pa.array(sel_np, pa.int64())
-        return pa.table(
-            {
-                "a_id": batch["a_id"].take(sel),
-                "b_id": batch["b_id"].take(sel),
-                "jac6": pa.array(
-                    [round(float(v), 6) for v in jac[sel_np]], pa.float64()
-                ),
-            },
-            schema=out_schema,
-        )
-
-    return cand.map_batches(verify, batch_format="pyarrow")
+    return attach_pair_payload(
+        cand, tok, "doc_id", ["tok_hashes"], num_partitions=16
+    ).map_batches(_jac6_verify(jac_threshold), batch_format="pyarrow")
 
 
 def doc_repetition_signals(sf_dir: str):
@@ -2309,8 +2256,10 @@ def revenue_by_nation(sf_dir: str, customer_broadcast_limit: int = 1_000_000):
     broadcast as a plain dict ONLY below ``customer_broadcast_limit``
     rows (customer is 1/10th of orders — unconditionally broadcasting
     it is tens of GB per node at 100x scale); above the limit it joins
-    partitioned, mirroring scan.py's broadcast_signatures_limit
-    dispatch. nation (25 rows) is always broadcast."""
+    partitioned, the same broadcast-or-join dispatch the pair attaches
+    make with stages/candidates.fits_broadcast (this dimension keeps
+    its own knob: its lookup is a driver dict, not a plasma table).
+    nation (25 rows) is always broadcast."""
     from clonehunter_ray.util import safe_join_partitions
 
     cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])

@@ -63,6 +63,16 @@ _JOIN_PAYLOAD = [
 ]
 
 
+# Join path only: when the deduped pair table has at most this many
+# rows, its distinct snippet-id set is broadcast once and the signature
+# side is FILTERED to paired ids before the four hash joins (measured
+# 400k files: 157k pairs vs 2.83M signatures — the unpruned joins
+# shipped 89% dead payload). Above it the id set stops being
+# broadcastable and the joins run unpruned. 20M pairs ~= 2.5 GB of
+# 64-byte ids in plasma.
+PAIR_ID_PRUNE_MAX_PAIRS = 20_000_000
+
+
 def _apply_shuffle_strategy(config: EngineConfig, band_rows: int) -> None:
     """Pick the band exchange's sort-shuffle implementation
     (ExecConfig.shuffle_strategy): push-based once the estimated band
@@ -195,21 +205,34 @@ def build_pairs(
     signatures: "ray.data.Dataset",
     config: EngineConfig,
     metrics=None,
+    plan: dict | None = None,
 ) -> "ray.data.Dataset":
     """signatures -> verified pairs (the wide half: LSH shuffle, then
     payload attachment by broadcast lookup or partitioned hash join).
 
-    Below ``broadcast_signatures_limit`` snippets the payload table is
-    broadcast ONCE and the band shuffle moves (band_key:u64, sid:i32)
-    rows — ~12 bytes instead of a ~64-byte snippet-id string, the
-    pipeline's dominant shuffle volume. Above the limit, string ids
-    flow and two partitioned hash joins attach the payloads.
+    When the signature table ``fits_broadcast`` (stages/candidates.py,
+    the one broadcast-or-join rule; at 1.79 KiB per snippet its row
+    limit binds first) the payload table is broadcast ONCE and the
+    band shuffle moves (band_key:u64, sid:i32) rows — ~12 bytes
+    instead of a ~64-byte snippet-id string, the pipeline's dominant
+    shuffle volume. Otherwise string ids flow and two partitioned hash
+    joins attach the payloads. The decision and its inputs land in
+    ``plan`` (when given): ``path``, ``snippets``, ``bytes`` and
+    ``pair_id_prune``.
     """
+    from clonehunter_ray.stages.candidates import fits_broadcast
+
     cap = config.signature.max_bucket_pairs_full
-    limit = config.exec.broadcast_signatures_limit
     payload_cols = _join_payload(config)
 
-    n_sigs = signatures.count()
+    fits, n_sigs, nbytes = fits_broadcast(signatures)
+    plan = {} if plan is None else plan
+    plan.update(
+        path="broadcast" if fits else "join",
+        snippets=n_sigs,
+        bytes=nbytes,
+        pair_id_prune=False,
+    )
     band_rows = n_sigs * config.signature.num_bands
     _apply_shuffle_strategy(config, band_rows)
     nparts = config.exec.shuffle_partitions
@@ -227,7 +250,7 @@ def build_pairs(
             )
         )
 
-    if limit and n_sigs <= limit:
+    if fits:
         return _pairs_broadcast(
             signatures, config, cap, nparts, payload_cols, metrics
         )
@@ -282,15 +305,12 @@ def build_pairs(
     if n_pairs == 0:
         return ray.data.from_arrow(PAIRS_SCHEMA.empty_table())
 
-    # semi-join prune: only snippet ids that appear in a surviving
-    # band pair can contribute to ANY of the four joins below, and the
-    # pair table is capped by the banding accountant while signatures
-    # are corpus-scale (measured 400k files: 157k pairs vs 2.83M
-    # signature rows — the joins were shipping 89% dead payload). The
-    # distinct id set broadcasts once via plasma; above the limit
-    # (ids no longer broadcastable) the prune is skipped and the
-    # joins run unpruned exactly as before.
-    if n_pairs <= config.exec.pair_id_prune_limit:
+    # semi-join prune (PAIR_ID_PRUNE_MAX_PAIRS): only snippet ids that
+    # appear in a surviving band pair can contribute to ANY of the four
+    # joins below, and the pair table is capped by the banding
+    # accountant while signatures are corpus-scale
+    plan["pair_id_prune"] = n_pairs <= PAIR_ID_PRUNE_MAX_PAIRS
+    if plan["pair_id_prune"]:
         import pyarrow as pa
         import pyarrow.compute as pc
 
@@ -614,6 +634,7 @@ def scan(
     if _log:
         log_stage("Build signatures", timing["signatures"])
     t0 = time.monotonic()
+    pairs_plan: dict = {}
     if root is None and not config.exec.materialize_pairs:
         # STREAMING pairs -> findings: without a checkpoint root there
         # is no reason to barrier between the two wide stages — verify
@@ -623,7 +644,9 @@ def scan(
         # tallied in-stream (counting the lazy dataset afterwards would
         # re-run the whole band shuffle).
         ckpt_stats["pairs"] = "streamed"
-        pairs = build_pairs(signatures, config, metrics_handle).map_batches(
+        pairs = build_pairs(
+            signatures, config, metrics_handle, pairs_plan
+        ).map_batches(
             _tally_rows,
             fn_kwargs={"metrics": metrics_handle, "counter": "verified_pairs"},
             batch_format="pyarrow",
@@ -633,9 +656,13 @@ def scan(
             _log.info("Verify pairs: streamed (fused into findings)")
     else:
         pairs = ckpt.checkpoint_or_compute(
-            lambda: build_pairs(signatures, config, metrics_handle),
+            lambda: build_pairs(signatures, config, metrics_handle, pairs_plan),
             root, "pairs", fp, ckpt_stats,
+            lineage={"plan": pairs_plan},
         )
+        if ckpt_stats["pairs"] == "hit":
+            # a checkpoint written before the record existed has none
+            pairs_plan.update(ckpt.read_lineage(root, "pairs").get("plan", {}))
         timing["pairs"] = round(time.monotonic() - t0, 3)
         if _log:
             log_stage("Verify pairs", timing["pairs"])
@@ -749,7 +776,8 @@ def scan(
         "lsh": lsh,
         "checkpoint": dict(ckpt_stats),
         # automatic plan decisions with their inputs
-        "plan": {"clustering": clustering} if clustering else {},
+        "plan": {"pairs": pairs_plan}
+        | ({"clustering": clustering} if clustering else {}),
     }
 
     return ScanResult(

@@ -484,8 +484,9 @@ def export_training_shards(
             # input identity: without it, re-exporting a DIFFERENT
             # corpus into the same out_dir would skip-resume the old
             # corpus's _SUCCESS partitions and report them in the
-            # manifest as if they came from this input
-            "input": sf_dir,
+            # manifest as if they came from this input; absolute, so a
+            # relative and an absolute spelling of one input resume alike
+            "input": os.path.abspath(sf_dir),
             "rates": {k: eff_rates[k] for k in sorted(eff_rates)},
             "default_rate": eff_default,
             "budget": budget,

@@ -283,6 +283,118 @@ def get_broadcast_payload(ref, need_index: bool = True) -> tuple[pa.Table, dict]
     return entry
 
 
+# The one broadcast-or-join rule for pair-payload attaches (the scan's
+# signature table and the document pipelines' shingle/token blobs).
+# Measured at 200k files (BASELINE.md "Broadcast-cutover thresholds
+# validated by measurement"): the scan's signature table is 1.79 KiB
+# per snippet, so 2M rows ~= 3.4 GiB of plasma plus a ~180 MB id->row
+# dict per worker, comfortably within a 128 GB node; the join path was
+# 7x slower than broadcast at 423k snippets.
+BROADCAST_MAX_ROWS = 2_000_000
+# Byte backstop for payloads of unbounded width per row (document token
+# blobs): a corpus under the row limit but over this size takes the
+# join path instead of building one plasma object the store can't hold.
+BROADCAST_MAX_BYTES = 4 << 30
+
+
+def fits_broadcast(ds) -> tuple[bool, int, int | None]:
+    """``(fits, rows, bytes)``: whether ``ds`` may be broadcast as one
+    plasma table — at most ``BROADCAST_MAX_ROWS`` rows AND at most
+    ``BROADCAST_MAX_BYTES`` in-memory bytes. Rows are checked first: a
+    lazy dataset already over the row limit is not executed just to be
+    measured, and its bytes read None."""
+    rows = ds.count()
+    if rows > BROADCAST_MAX_ROWS:
+        return False, rows, None
+    nbytes = ds.size_bytes() or 0
+    return nbytes <= BROADCAST_MAX_BYTES, rows, nbytes
+
+
+def _attach_broadcast(
+    batch: pa.Table, handle, key: str, cols: list[str]
+) -> pa.Table:
+    """Broadcast side of ``attach_pair_payload``: the combined payload
+    is sorted by ``key`` (combine_payload_blocks), so each pair id is
+    found by binary search — no per-worker id->row dict, and ids
+    without a payload row drop out (inner-join semantics)."""
+    table, _ = get_broadcast_payload(handle, need_index=False)
+    keys = table[key].to_numpy(zero_copy_only=False)
+    found = np.ones(batch.num_rows, dtype=bool)
+    rows = {}
+    for side in ("a", "b"):
+        ids = batch[f"{side}_id"].to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(keys, ids)
+        hit = pos < len(keys)
+        hit[hit] = keys[pos[hit]] == ids[hit]
+        found &= hit
+        rows[side] = pos
+    if not found.all():
+        sel = np.flatnonzero(found)
+        batch = batch.take(pa.array(sel, pa.int64()))
+        rows = {s: r[sel] for s, r in rows.items()}
+    for side in ("a", "b"):
+        picked = table.take(pa.array(rows[side], pa.int64()))
+        for c in cols:
+            batch = batch.append_column(f"{side}_{c}", picked[c])
+    return batch
+
+
+def attach_pair_payload(
+    pairs, payload, key: str, cols: list[str], num_partitions: int
+):
+    """Pair rows (``a_id``, ``b_id``, ...) plus ``a_<col>`` and
+    ``b_<col>`` for every payload column, inner-join semantics on both
+    paths (a pair whose id has no ``payload`` row under ``key`` is
+    dropped). The payload is materialized and sized once; when
+    ``fits_broadcast`` it is combined into one plasma table every
+    worker maps zero-copy (``make_broadcast_handle``) and the pairs
+    stream through a map, otherwise two partitioned hash joins attach
+    each side. An empty pair set on the join path returns an empty
+    typed table (Ray's hash join crashes on a globally empty side, see
+    util.left_attach_or_nulls)."""
+    import ray.data
+
+    from clonehunter_ray.util import safe_join
+
+    payload = payload.materialize()
+    if fits_broadcast(payload)[0]:
+        handle = make_broadcast_handle(payload, [key, *cols], key_col=key)
+        return pairs.map_batches(
+            _attach_broadcast,
+            fn_kwargs={"handle": handle, "key": key, "cols": cols},
+            batch_format="pyarrow",
+        )
+
+    pairs = pairs.materialize()
+    if pairs.count() == 0:
+        p = payload.schema()
+        types = dict(zip(p.names, p.types))
+        s = pairs.schema()
+        fields = (
+            list(zip(s.names, s.types))
+            if s is not None and s.names
+            else [("a_id", types[key]), ("b_id", types[key])]
+        )
+        fields += [(f"{side}_{c}", types[c]) for side in "ab" for c in cols]
+        return ray.data.from_arrow(pa.schema(fields).empty_table())
+
+    def side(prefix: str):
+        return payload.select_columns([key, *cols]).map_batches(
+            lambda t: t.rename_columns(
+                [f"{prefix}_id", *(f"{prefix}_{c}" for c in cols)]
+            ),
+            batch_format="pyarrow",
+        )
+
+    return safe_join(
+        safe_join(pairs, side("a"), "inner", num_partitions, on=("a_id",)),
+        side("b"),
+        "inner",
+        num_partitions,
+        on=("b_id",),
+    )
+
+
 _DERIVED_CACHE: dict[tuple, tuple] = {}
 
 

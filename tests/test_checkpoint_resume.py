@@ -317,9 +317,10 @@ def test_partitioned_output_jsonl_float16_and_nested_nan(ray_session, tmp_path):
 
 
 def test_scan_plan_records_clustering(ray_session, tmp_path):
-    """stats["plan"]["clustering"] records the connected-components
-    decision (path, edge count, rounds) in streamed mode, in a
-    checkpointed run, and in a resume that hits the clusters stage."""
+    """stats["plan"] records the connected-components decision (path,
+    edge count, rounds) and the pair-attach decision (path, snippets,
+    bytes, pair-id prune) in streamed mode, in a checkpointed run, and
+    in a resume that hits the pairs and clusters stages."""
     files, _ = generate_corpus(60, 7)
     streamed = scan(ray.data.from_arrow(files), EngineConfig()).stats
     root = str(tmp_path / "ck")
@@ -327,7 +328,16 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
     resumed = _scan(files, root)[0].stats
     assert missed["checkpoint"]["clusters"] == "miss"
     assert resumed["checkpoint"]["clusters"] == "hit"
+    assert missed["checkpoint"]["pairs"] == "miss"
+    assert resumed["checkpoint"]["pairs"] == "hit"
+    assert streamed["checkpoint"]["pairs"] == "streamed"
     for stats in (streamed, missed, resumed):
+        pairs = stats["plan"]["pairs"]
+        assert set(pairs) == {"path", "snippets", "bytes", "pair_id_prune"}
+        assert pairs["path"] == "broadcast"
+        assert pairs["snippets"] == stats["counts"]["snippets"]
+        assert pairs["bytes"] > 0
+        assert pairs["pair_id_prune"] is False
         rec = stats["plan"]["clustering"]
         assert set(rec) == {"path", "edges", "rounds"}
         assert rec == {

@@ -62,15 +62,16 @@ def test_minhash_keep_best_no_dups(ray_session):
     assert out["keep"].all()
 
 
-def test_minhash_pairs_join_path_no_dups(ray_session):
+def test_minhash_pairs_join_path_no_dups(ray_session, monkeypatch):
     """Scale (partitioned-join) attach path with zero candidate pairs:
     the pair side of both payload joins is globally empty."""
     from clonehunter_ray.pipelines import dedup
+    from clonehunter_ray.stages import candidates
 
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     out = dedup.minhash_dedup_pairs(
         ray.data.from_arrow(_unique_docs()),
         threshold=0.8,
-        broadcast_limit=0,
     ).to_pandas()
     assert len(out) == 0
 
@@ -94,14 +95,15 @@ def test_passage_dedup_documents_no_dups(ray_session):
     assert (out["dup_tokens"] == 0).all() if "dup_tokens" in out else True
 
 
-def test_passage_pairs_join_path_no_dups(ray_session):
+def test_passage_pairs_join_path_no_dups(ray_session, monkeypatch):
     """Partitioned-join verify tail with zero candidate pairs."""
     from clonehunter_ray.pipelines.passage import passage_dup_span_pairs
+    from clonehunter_ray.stages import candidates
 
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     out = passage_dup_span_pairs(
         ray.data.from_arrow(_unique_docs()),
         min_len=15,
-        broadcast_limit=0,
     ).to_pandas()
     assert len(out) == 0
 
@@ -147,12 +149,13 @@ def test_scan_clone_free_corpus(ray_session):
     assert res.findings.count() == 0
 
 
-def test_scan_clone_free_corpus_join_path(ray_session):
+def test_scan_clone_free_corpus_join_path(ray_session, monkeypatch):
     """Same clone-free corpus forced down the scale (partitioned-join)
     pair-attach path: zero candidate pairs leave the join's left
     sequence globally empty."""
-    from clonehunter_ray.config import EngineConfig, ExecConfig
+    from clonehunter_ray.config import EngineConfig
     from clonehunter_ray.pipelines.scan import scan
+    from clonehunter_ray.stages import candidates
 
     files = pa.table(
         {
@@ -173,9 +176,10 @@ def test_scan_clone_free_corpus_join_path(ray_session):
             ),
         }
     )
-    cfg = EngineConfig(exec=ExecConfig(broadcast_signatures_limit=0))
-    res = scan(ray.data.from_arrow(files), cfg)
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+    res = scan(ray.data.from_arrow(files), EngineConfig())
     assert res.findings.count() == 0
+    assert res.stats["plan"]["pairs"]["path"] == "join"
 
 
 def test_cross_corpus_no_overlap(ray_session):

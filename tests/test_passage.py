@@ -162,17 +162,20 @@ def test_passage_spans_partitioning_invariant(ray_session, corpus):
     assert a == b
 
 
-def test_passage_join_path_matches_broadcast(ray_session, corpus):
+def test_passage_join_path_matches_broadcast(ray_session, corpus, monkeypatch):
+    from clonehunter_ray.stages import candidates
+
     bcast = _collect_spans(
         passage.passage_dedup_spans(
             ray.data.from_arrow(corpus), min_len=MIN_LEN
         )
     )
+    # force the partitioned-join path
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     joined = _collect_spans(
         passage.passage_dedup_spans(
             ray.data.from_arrow(corpus),
             min_len=MIN_LEN,
-            broadcast_limit=0,  # force the partitioned-join path
             num_partitions=4,
         )
     )
@@ -307,7 +310,9 @@ def test_passage_decontaminate_spans_matches_oracle(ray_session):
     assert all(d < 1000 for d in got)
 
 
-def test_passage_decontaminate_partitioning_invariant(ray_session):
+def test_passage_decontaminate_partitioning_invariant(ray_session, monkeypatch):
+    from clonehunter_ray.stages import candidates
+
     rng = np.random.default_rng(5)
     bench_texts = [" ".join(_words(rng, 30)) for _ in range(5)]
     train_texts = [" ".join(_words(rng, 50)) for _ in range(20)]
@@ -331,13 +336,13 @@ def test_passage_decontaminate_partitioning_invariant(ray_session):
             min_len=MIN_LEN,
         )
     )
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)  # join path
     b = _collect_spans(
         passage.passage_decontaminate_spans(
             ray.data.from_arrow(train).repartition(6),
             ray.data.from_arrow(bench).repartition(3),
             min_len=MIN_LEN,
             num_partitions=11,
-            broadcast_limit=0,  # join path
             max_bucket_pairs=2,  # exercise the capped hub-spoke branch
         )
     )

@@ -102,20 +102,24 @@ def test_findings_deterministic_across_runs(ray_session, tiny_corpus):
     assert a.equals(b)
 
 
-def test_join_scale_path_matches_broadcast_path(ray_session, tiny_corpus):
+def test_join_scale_path_matches_broadcast_path(
+    ray_session, tiny_corpus, monkeypatch
+):
     """The >2M-snippet scale path (string ids + narrow pre-gate joins +
     partitioned payload hash joins) must produce the same findings as
-    the broadcast path; forced here with broadcast_signatures_limit=0."""
+    the broadcast path; forced here with the broadcast row cutover at 0."""
     from clonehunter_ray.config import ExecConfig
+    from clonehunter_ray.stages import candidates
 
     files, _ = tiny_corpus
     base = scan(ray.data.from_arrow(files), EngineConfig())
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     forced = scan(
         ray.data.from_arrow(files),
-        EngineConfig(
-            exec=ExecConfig(broadcast_signatures_limit=0, shuffle_partitions=4)
-        ),
+        EngineConfig(exec=ExecConfig(shuffle_partitions=4)),
     )
+    assert base.stats["plan"]["pairs"]["path"] == "broadcast"
+    assert forced.stats["plan"]["pairs"]["path"] == "join"
     cols = ["unit_a", "unit_b", "score", "duplicated_lines", "n_evidence"]
     a = base.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     b = forced.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)

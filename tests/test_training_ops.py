@@ -410,6 +410,20 @@ def test_export_rejects_parameter_drift(tmp_path):
         )
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_export_resume_keys_on_absolute_input_path(tmp_path):
+    """The same input spelled relative and absolute is one input: the
+    re-run resumes instead of raising a parameter mismatch."""
+    out_dir = str(tmp_path / "d")
+    first = T.export_training_shards(
+        out_dir=out_dir, sf_dir=os.path.relpath(SF_DIR)
+    ).to_pandas()
+    again = T.export_training_shards(
+        out_dir=out_dir, sf_dir=os.path.abspath(SF_DIR)
+    ).to_pandas()
+    assert (_norm(first).astype(str).values == _norm(again).astype(str).values).all()
+
+
 def test_manifest_preserves_slash_in_source_names(tmp_path, ray_session):
     """Unsharded layout: a source value containing '/' must pass
     through the manifest verbatim (only the sharded layout strips a

@@ -98,6 +98,7 @@ def main() -> None:
     res = scan(read(), cfg)
     t_e2e = time.monotonic() - t0
     print(f"scan() e2e: {t_e2e:8.2f}s  timing={res.stats['timing']}")
+    print(f"plan: {res.stats['plan']}")
     ray.shutdown()
 
 
