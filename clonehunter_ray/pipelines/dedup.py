@@ -50,7 +50,10 @@ class DocSignatureStage:
         self.emit = emit
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from clonehunter_ray.stages.signatures import _binary_from_flat_u64
+        from clonehunter_ray.stages.signatures import (
+            _binary_from_flat_u64,
+            _list_from_matrix_u64,
+        )
 
         flat_tok, tok_lens = H.tokenize_hash_flat(batch["text"])
         flat_sh, sh_counts = H.batch_shingle_sets(
@@ -64,12 +67,10 @@ class DocSignatureStage:
             bands = H.band_hashes_batch(
                 sigs, self.config.num_bands, self.config.band_rows
             )
-            cols["band_keys"] = pa.array(
-                bands.tolist(), pa.list_(pa.uint64())
-            )
+            cols["band_keys"] = _list_from_matrix_u64(bands)
         if "simhash" in self.emit:
             cols["simhash"] = pa.array(
-                H.simhash_from_flat(flat_sh, sh_counts).tolist(), pa.uint64()
+                H.simhash_from_flat(flat_sh, sh_counts), pa.uint64()
             )
         return pa.table(cols)
 
@@ -87,7 +88,9 @@ def _explode_doc_bands_ids(batch: pa.Table) -> pa.Table:
         )
     flat = batch["band_keys"].combine_chunks().flatten()
     nb = len(flat) // n
-    ids = np.repeat(np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64), nb)
+    ids = np.repeat(
+        batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64), nb
+    )
     return pa.table({"band_key": flat, "doc_id": pa.array(ids)})
 
 
@@ -317,84 +320,47 @@ def minhash_dedup_pairs(
     ).map_batches(verify, batch_format="pyarrow")
 
 
-@ray.remote(num_cpus=0)
-def _route_and_verify_chunk(
-    shards,
-    n_shards: int,
-    ids: np.ndarray,
-    blobs: list[bytes],
-    threshold: float,
-    n_qb: int,
-    *refs,
-) -> pa.Table:
-    """Worker-side tail of one ingest chunk: candidate-pair dedup,
-    owner-routed exact verification, keep-earliest reduction (a doc
-    lives in exactly one chunk, so the per-chunk reduction IS the
-    global one). ``refs[:n_qb]`` are the chunk's resolved per-shard
-    ``query_bands`` results; the remaining refs are the PREVIOUS
-    chunk's add results — data-only dependencies that guarantee every
-    earlier chunk's blobs are installed on every shard before this
-    task's verify calls land (actor tasks execute in submission order
-    per submitter, so add(N-1) done everywhere implies add(<=N-1)
-    done everywhere)."""
-    from clonehunter_ray.state.lsh_index import (
-        dedupe_candidate_pairs,
-        keep_earliest,
-        verify_on_owners,
-    )
-
-    qb = refs[:n_qb]
-    new_idx, corpus = dedupe_candidate_pairs(list(qb))
-    flagged = verify_on_owners(
-        shards, n_shards, new_idx, corpus, ids, blobs, threshold
-    )
-    return keep_earliest(flagged)
-
-
 def incremental_dedup_stream(
     docs_ds: "ray.data.Dataset",
     threshold: float = 0.8,
     chunk_rows: int = 200,
     n_shards: int = 4,
     config: SignatureConfig | None = None,
-    max_inflight_chunks: int = 8,
     checkpoint_dir: str | None = None,
     snapshot_every: int = 50,
     _crash_after_chunks: int | None = None,
 ) -> "ray.data.Dataset":
     """Streaming-ingest near-dedup: documents arrive in doc_id order in
-    chunks; each chunk is checked against everything indexed BEFORE it
-    (query-then-add against state/lsh_index's shard actors), returning
+    chunks of ``chunk_rows``; each chunk is checked against everything
+    indexed BEFORE it (state/lsh_index's shard actors), returning
     (doc_id, dup_of, jaccard) with dup_of the EARLIEST matching indexed
     doc — the append-only semantics the batch re-band pipelines can't
     express.
 
-    Pipelined (round-4 rework of the driver-serialized loop): signature
-    hashing runs as a distributed actor-pool stage BEFORE the ingest
-    order sort; the driver's per-chunk work is pure array slicing and
-    task submission — it submits query_bands then add to the shards
-    (actor submission order preserves query-before-add, chunk order,
-    and append-only semantics with NO ray.get barrier) and hands the
-    chunk's verification + keep-earliest reduction to a detached
-    worker task gated on the previous chunk's add refs. Chunk N's
-    verify therefore overlaps chunk N+1..N+k's routing
-    (``max_inflight_chunks`` bounds the overlap), and the flagged rows
-    come back as a ``ray.data.Dataset`` built from the per-chunk
-    result refs — nothing corpus-scale is ever concatenated on the
-    driver.
+    The unit of work is the epoch: a window of ``snapshot_every``
+    chunks. Signature hashing runs as a distributed actor-pool stage
+    BEFORE the ingest-order sort; the driver then hands each window to
+    ``ShardedLshIndex.ingest`` — one ``ingest`` and one ``put`` call per
+    shard, then candidate dedup, owner-side exact verification and the
+    keep-earliest reduction inline. Every posting carries its chunk's
+    ingest number, and a candidate counts only when that number is
+    below the querying row's, so windows give exactly the results of
+    query-then-add per chunk. The flagged rows (at most one per
+    document) come back as a ``ray.data.Dataset``.
 
-    Checkpoint/resume (``checkpoint_dir``): every ``snapshot_every``
-    chunks the stream barriers, has each shard actor persist its full
-    postings+payload state to partitioned parquet (worker-side
-    writes), stores the flagged-row DELTA since the previous epoch
-    beside it, and commits the epoch with a manifest written last. A
-    restarted run restores the newest complete epoch, prunes
-    already-ingested docs AT THE READ (``doc_id > max_doc_id``
-    pushdown — chunk boundaries are doc_id-sorted, so the epoch cut is
-    a clean chunk boundary), and returns checkpointed flagged rows
-    unioned with the re-run tail — byte-identical to an uninterrupted
-    run. ``_crash_after_chunks`` is a test hook simulating driver
-    death mid-ingest.
+    Checkpoint/resume (``checkpoint_dir``): after every window each
+    shard actor persists its full postings+payload state to
+    partitioned parquet (worker-side writes), the window's flagged
+    rows land beside it as the delta since the previous epoch, and a
+    manifest written last commits the epoch. A restarted run restores
+    the newest complete epoch (its postings count as earlier than any
+    new chunk), prunes already-ingested docs AT THE READ
+    (``doc_id > max_doc_id`` pushdown — windows are doc_id-sorted, so
+    the epoch cut is a clean chunk boundary), and returns checkpointed
+    flagged rows unioned with the re-run tail — identical to an
+    uninterrupted run. ``_crash_after_chunks`` is a test hook
+    simulating driver death mid-ingest: it fires at the end of the
+    first window that reaches that many chunks, before its snapshot.
     """
     import os
 
@@ -404,7 +370,6 @@ def incremental_dedup_stream(
     cfg = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
     index = ShardedLshIndex(n_shards=n_shards, config=cfg)
 
-    seq = 0
     restored_flagged: list[str] = []
     if checkpoint_dir:
         # shutdown on restore failure too: a config/shard-count
@@ -416,14 +381,13 @@ def incremental_dedup_stream(
             index.shutdown()
             raise
         if resume is not None:
-            seq = int(resume["seq"])
             docs_ds = docs_ds.filter(
                 expr=f"doc_id > {int(resume['max_doc_id'])}"
             )
             restored_flagged = [
                 f
                 for m in index.list_epochs(checkpoint_dir)
-                if m["seq"] <= seq
+                if m["seq"] <= index.seq
                 for f in [os.path.join(m["epoch_dir"], "flagged.parquet")]
                 if os.path.exists(f)
             ]
@@ -447,89 +411,34 @@ def incremental_dedup_stream(
         .sort("doc_id")
     )
 
-    flagged_refs = []
-    prev_add_refs: list = []
-    chunks_this_run = 0
-    unsnapshotted: list = []  # flagged refs since the last epoch
+    # flagged rows wait in the object store, not on the driver
+    flagged_refs = [ray.put(OUT_SCHEMA.empty_table())]
+    first_seq = index.seq
     try:
-        for batch in sig.iter_batches(
-            batch_size=chunk_rows, batch_format="pyarrow"
+        for window in sig.iter_batches(
+            batch_size=snapshot_every * chunk_rows, batch_format="pyarrow"
         ):
-            import pyarrow.compute as pc
-
-            ids = (
-                batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            )
-            blobs = batch["shingles"].to_pylist()
-            bands = (
-                pc.list_flatten(batch["band_keys"])
-                .to_numpy(zero_copy_only=False)
-                .astype(np.uint64)
-                .reshape(len(ids), cfg.num_bands)
-            )
-            qb_refs = index.submit_query_bands(ids, bands)
-            add_refs = index.submit_add(ids, blobs, bands)
-            ref = _route_and_verify_chunk.remote(
-                index.shards,
-                n_shards,
-                ids,
-                blobs,
-                threshold,
-                len(qb_refs),
-                *qb_refs,
-                *prev_add_refs,
-            )
-            flagged_refs.append(ref)
-            unsnapshotted.append(ref)
-            prev_add_refs = add_refs
-            seq += 1
-            chunks_this_run += 1
+            flagged = index.ingest(window, chunk_rows, threshold)
+            flagged_refs.append(ray.put(flagged))
             if (
                 _crash_after_chunks is not None
-                and chunks_this_run >= _crash_after_chunks
+                and index.seq - first_seq >= _crash_after_chunks
             ):
                 raise RuntimeError(
                     "incremental_dedup_stream: simulated crash (test hook)"
                 )
-            if checkpoint_dir and seq % snapshot_every == 0:
-                # epoch barrier: the LAST chunk's adds done on every
-                # shard implies all earlier adds are too (actor tasks
-                # run in submission order); the delta flagged rows are
-                # bounded by snapshot_every chunks
-                ray.get(prev_add_refs)
-                delta = [t for t in ray.get(unsnapshotted) if t.num_rows]
+            if checkpoint_dir:
                 index.snapshot(
                     checkpoint_dir,
-                    seq,
-                    max_doc_id=int(ids[-1]),
-                    flagged=(
-                        pa.concat_tables(delta)
-                        if delta
-                        else OUT_SCHEMA.empty_table()
-                    ),
+                    index.seq,
+                    max_doc_id=window["doc_id"][-1].as_py(),
+                    flagged=flagged,
                 )
-                unsnapshotted = []
-            if len(flagged_refs) > max_inflight_chunks:
-                # bounded pipeline: block until the chunk that is
-                # max_inflight behind has fully verified
-                ray.wait(
-                    [flagged_refs[-max_inflight_chunks - 1]], num_returns=1
-                )
-        # the shard actors must outlive every in-flight verify call
-        if flagged_refs:
-            ray.wait(flagged_refs, num_returns=len(flagged_refs))
     finally:
         index.shutdown()
-    parts = []
+    out = ray.data.from_arrow_refs(flagged_refs)
     if restored_flagged:
-        parts.append(ray.data.read_parquet(restored_flagged))
-    if flagged_refs:
-        parts.append(ray.data.from_arrow_refs(flagged_refs))
-    if not parts:
-        return ray.data.from_arrow(OUT_SCHEMA.empty_table())
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
+        out = ray.data.read_parquet(restored_flagged).union(out)
     return out
 
 
@@ -604,8 +513,8 @@ def simhash_dup_pairs(
     ).select_columns(["doc_id", "simhash"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
-        sh = np.asarray(batch["simhash"].to_pylist(), dtype=np.uint64)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        sh = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
         keys, out_ids, out_sh = [], [], []
         for chunk in range(4):
             part = (sh >> np.uint64(16 * chunk)) & np.uint64(0xFFFF)

@@ -7,18 +7,23 @@ touching existing postings. A shared mutable index is the one semantics
 the Dataset API can't express, so this module drops to raw Ray actors
 (the documented last-resort case): N index shards, each owning
 
-* band postings:  ``band_key -> int64 doc_id array`` for
-  ``band_key % N == shard``
+* band postings:  sorted runs of ``(band_key, doc_id, seq)`` for
+  ``band_key % N == shard``, where ``seq`` is the ingest number of the
+  posting's chunk
 * doc payloads:   ``doc_id -> sorted-unique shingle blob`` for
   ``doc_id % N == shard``
 
-Routing is pure hash, so an add or query touches every shard at most
-ONCE per batch (one RPC carrying numpy arrays — never a per-row call),
-and corpus payloads never leave their owner: candidate verification
-runs on the shard owning the corpus doc, with only the new batch's
-blobs travelling. Partitioning assumption: shard count is fixed for
-the index lifetime (re-sharding = rebuild), the standard trade-off for
-hash-routed mutable state.
+"Only earlier chunks count" lives in the data, not in call order: a
+lookup keeps a posting only when its ``seq`` is below the querying
+row's. A whole window of chunks therefore goes to each shard in ONE
+``ingest`` call (append the window's postings, then look them up —
+earlier windows and earlier chunks of the same window match, the same
+chunk never does) and one ``put`` call carrying the owned payloads as
+an Arrow binary array. Corpus payloads never leave their owner:
+candidate verification runs on the shard owning the corpus doc, with
+only the new rows' blobs travelling. Partitioning assumption: shard
+count is fixed for the index lifetime (re-sharding = rebuild), the
+standard trade-off for hash-routed mutable state.
 
 Reference parity note: this generalizes the reference's incremental
 embedding cache (embedding/cache.py) from "skip re-embedding" to
@@ -29,10 +34,23 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from clonehunter_ray.config import SignatureConfig
 from clonehunter_ray.functions import hashing as H
+
+# the seq of a query that looks at the whole index, and of postings
+# restored from a snapshot (earlier than any chunk ingested after it)
+QUERY_SEQ = np.iinfo(np.int64).max
+RESTORED_SEQ = -1
+
+
+def _sorted_run(
+    keys: np.ndarray, doc_ids: np.ndarray, seqs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    order = np.argsort(keys, kind="stable")
+    return keys[order], doc_ids[order], seqs[order]
 
 
 @ray.remote(num_cpus=0)
@@ -45,106 +63,111 @@ class _LshIndexShard:
     logical CPU deadlocks a small session (4 shards = the whole 4-CPU
     test cluster) before the ingest pipeline can start. Their verify
     bursts are short and vectorized; mild oversubscription beats a
-    resource deadlock."""
+    resource deadlock.
+
+    Postings are an LSM stack of key-sorted runs: a new run merges into
+    the run below it while that run is at most twice its size, so the
+    stack holds O(log n) runs and an append costs amortized O(log n)
+    per posting instead of growing with the index."""
 
     def __init__(self) -> None:
-        self._postings: dict[int, list[np.ndarray]] = {}
+        self._runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._blobs: dict[int, bytes] = {}
 
-    def add(
-        self,
-        band_keys: np.ndarray,
-        band_doc_ids: np.ndarray,
-        doc_ids: np.ndarray,
-        blobs: list[bytes],
-    ) -> int:
-        if band_keys.size:
-            order = np.argsort(band_keys, kind="stable")
-            ks = band_keys[order]
-            ids = band_doc_ids[order]
-            starts = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
-            ends = np.append(starts[1:], ks.size)
-            for s, e in zip(starts, ends):
-                self._postings.setdefault(int(ks[s]), []).append(
-                    ids[s:e].copy()
-                )
-        for d, b in zip(doc_ids.tolist(), blobs):
-            self._blobs[int(d)] = b
-        return len(blobs)
+    def append(
+        self, keys: np.ndarray, doc_ids: np.ndarray, seqs: np.ndarray
+    ) -> None:
+        if keys.size == 0:
+            return
+        run = _sorted_run(keys, doc_ids, seqs)
+        while self._runs and self._runs[-1][0].size <= 2 * run[0].size:
+            below = self._runs.pop()
+            run = _sorted_run(
+                *(np.concatenate([b, r]) for b, r in zip(below, run))
+            )
+        self._runs.append(run)
 
-    def query_bands(
-        self, band_keys: np.ndarray, new_idx: np.ndarray
+    def lookup(
+        self, keys: np.ndarray, seqs: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(band_key, local new-row idx) -> candidate (new_idx,
-        corpus_doc_id) pairs from this shard's postings."""
-        out_new: list[np.ndarray] = []
-        out_corpus: list[np.ndarray] = []
-        for k, i in zip(band_keys.tolist(), new_idx.tolist()):
-            posts = self._postings.get(int(k))
-            if posts:
-                if len(posts) > 1:
-                    arr = np.concatenate(posts)
-                    self._postings[int(k)] = [arr]  # compact in place
-                else:
-                    arr = posts[0]
-                out_corpus.append(arr)
-                out_new.append(np.full(arr.size, i, dtype=np.int64))
-        if not out_new:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return np.concatenate(out_new), np.concatenate(out_corpus)
+        """(band_key, query seq, row) -> candidate (row, corpus doc_id)
+        pairs from every posting with that key and a smaller seq."""
+        out_rows, out_docs = [], []
+        for run_keys, run_ids, run_seqs in self._runs:
+            lo = np.searchsorted(run_keys, keys, side="left")
+            counts = np.searchsorted(run_keys, keys, side="right") - lo
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            # vectorized expansion of the [lo, lo + count) ranges
+            ends = np.cumsum(counts)
+            pos = np.repeat(lo - (ends - counts), counts) + np.arange(total)
+            q = np.repeat(np.arange(keys.size), counts)
+            earlier = run_seqs[pos] < seqs[q]
+            out_rows.append(rows[q[earlier]])
+            out_docs.append(run_ids[pos[earlier]])
+        if not out_rows:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(out_rows), np.concatenate(out_docs)
 
-    def verify(
-        self, corpus_ids: np.ndarray, new_blobs: list[bytes]
-    ) -> np.ndarray:
+    def ingest(
+        self,
+        keys: np.ndarray,
+        doc_ids: np.ndarray,
+        seqs: np.ndarray,
+        rows: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Append one window's postings, then return its candidates:
+        the same as query-then-add per chunk, since a posting only
+        matches rows of a later seq."""
+        self.append(keys, doc_ids, seqs)
+        return self.lookup(keys, seqs, rows)
+
+    def put(self, doc_ids: np.ndarray, blobs: pa.Array) -> None:
+        self._blobs.update(zip(doc_ids.tolist(), blobs.to_pylist()))
+
+    def verify(self, corpus_ids: np.ndarray, new_blobs: pa.Array) -> np.ndarray:
         """Exact Jaccard of each (owned corpus doc, new blob) pair —
         vectorized, payloads never leave the shard."""
         a = pa.array(
-            [self._blobs[int(c)] for c in corpus_ids.tolist()], pa.binary()
+            [self._blobs[c] for c in corpus_ids.tolist()], pa.binary()
         )
-        b = pa.array(new_blobs, pa.binary())
-        return H.jaccard_batch(a, b)
+        return H.jaccard_batch(a, new_blobs)
+
+    def _flat_postings(self) -> tuple[np.ndarray, np.ndarray]:
+        if not self._runs:
+            return np.empty(0, np.uint64), np.empty(0, np.int64)
+        return (
+            np.concatenate([r[0] for r in self._runs]),
+            np.concatenate([r[1] for r in self._runs]),
+        )
 
     def stats(self) -> dict:
-        return {"band_keys": len(self._postings), "docs": len(self._blobs)}
+        keys, _ = self._flat_postings()
+        return {"band_keys": int(np.unique(keys).size), "docs": len(self._blobs)}
 
     def snapshot(self, epoch_dir: str, shard_idx: int) -> dict:
         """Persist this shard's full state as two parquet files inside
         ``epoch_dir`` (worker-side write — the driver never sees the
-        payloads). Postings are compacted first; the flattened
-        (band_key, doc_id) layout plus the (doc_id, blob) table is the
-        complete mutable state, so restore is a pure rebuild."""
+        payloads): the flattened (band_key, doc_id) postings plus the
+        (doc_id, blob) table. Seqs are not stored: every posting of a
+        snapshot is earlier than anything ingested after it."""
         import os
 
         import pyarrow.parquet as pq
 
         os.makedirs(epoch_dir, exist_ok=True)
-        keys, ids = [], []
-        for k, posts in self._postings.items():
-            arr = np.concatenate(posts) if len(posts) > 1 else posts[0]
-            self._postings[k] = [arr]
-            keys.append(np.full(arr.size, k, dtype=np.uint64))
-            ids.append(arr.astype(np.int64))
+        keys, ids = self._flat_postings()
         postings = pa.table(
             {
-                "band_key": pa.array(
-                    np.concatenate(keys) if keys else np.empty(0, np.uint64),
-                    pa.uint64(),
-                ),
-                "doc_id": pa.array(
-                    np.concatenate(ids) if ids else np.empty(0, np.int64),
-                    pa.int64(),
-                ),
+                "band_key": pa.array(keys, pa.uint64()),
+                "doc_id": pa.array(ids, pa.int64()),
             }
-        )
-        blob_ids = np.fromiter(
-            self._blobs.keys(), dtype=np.int64, count=len(self._blobs)
         )
         blobs = pa.table(
             {
-                "doc_id": pa.array(blob_ids, pa.int64()),
-                "blob": pa.array(
-                    [self._blobs[int(d)] for d in blob_ids], pa.binary()
-                ),
+                "doc_id": pa.array(list(self._blobs), pa.int64()),
+                "blob": pa.array(list(self._blobs.values()), pa.binary()),
             }
         )
         pq.write_table(
@@ -157,7 +180,7 @@ class _LshIndexShard:
 
     def restore(self, epoch_dir: str, shard_idx: int) -> dict:
         """Rebuild shard state from a ``snapshot`` epoch (replaces any
-        current state)."""
+        current state); restored postings get ``RESTORED_SEQ``."""
         import os
 
         import pyarrow.parquet as pq
@@ -168,23 +191,15 @@ class _LshIndexShard:
         blobs = pq.read_table(
             os.path.join(epoch_dir, f"shard_{shard_idx}_blobs.parquet")
         )
-        self._postings = {}
-        keys = postings["band_key"].to_numpy(zero_copy_only=False)
-        ids = postings["doc_id"].to_numpy(zero_copy_only=False)
-        if keys.size:
-            order = np.argsort(keys, kind="stable")
-            ks, ds = keys[order], ids[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], ks[1:] != ks[:-1]])
-            )
-            ends = np.append(starts[1:], ks.size)
-            for s, e in zip(starts, ends):
-                self._postings[int(ks[s])] = [ds[s:e].copy()]
+        self._runs = []
+        ids = postings["doc_id"].to_numpy().astype(np.int64)
+        self.append(
+            postings["band_key"].to_numpy().astype(np.uint64),
+            ids,
+            np.full(ids.size, RESTORED_SEQ, dtype=np.int64),
+        )
         self._blobs = dict(
-            zip(
-                blobs["doc_id"].to_numpy(zero_copy_only=False).tolist(),
-                blobs["blob"].to_pylist(),
-            )
+            zip(blobs["doc_id"].to_pylist(), blobs["blob"].to_pylist())
         )
         return self.stats()
 
@@ -201,9 +216,9 @@ OUT_SCHEMA = pa.schema(
 def dedupe_candidate_pairs(
     qb_results: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-shard ``query_bands`` results and drop duplicate
-    (new_idx, corpus_doc) pairs (the same pair surfaces from many
-    bands/shards)."""
+    """Concatenate per-shard ``lookup`` / ``ingest`` results and drop
+    duplicate (new_idx, corpus_doc) pairs (the same pair surfaces from
+    many bands/shards)."""
     new_idx = np.concatenate([c[0] for c in qb_results])
     corpus = np.concatenate([c[1] for c in qb_results])
     if new_idx.size == 0:
@@ -222,13 +237,13 @@ def verify_on_owners(
     new_idx: np.ndarray,
     corpus: np.ndarray,
     ids: np.ndarray,
-    blobs: list[bytes],
+    shingles: pa.ChunkedArray,
     threshold: float,
 ) -> pa.Table:
     """Exact-Jaccard verification of candidate (new, corpus) pairs on
-    the shard OWNING each corpus doc (payloads never move); returns
-    flagged (doc_id, dup_of, jaccard) rows. Blocks on the verify round
-    trip — call from a worker task to keep the driver free."""
+    the shard OWNING each corpus doc (payloads never move; the new
+    rows' ``shingles`` blobs travel as Arrow binary arrays); returns
+    flagged (doc_id, dup_of, jaccard) rows."""
     if new_idx.size == 0:
         return OUT_SCHEMA.empty_table()
     owner = corpus % n_shards
@@ -238,9 +253,7 @@ def verify_on_owners(
         if sel.size == 0:
             continue
         refs.append(
-            shards[s].verify.remote(
-                corpus[sel], [blobs[i] for i in new_idx[sel]]
-            )
+            shards[s].verify.remote(corpus[sel], shingles.take(new_idx[sel]))
         )
         slots.append(sel)
     jac = np.zeros(new_idx.size, dtype=np.float64)
@@ -279,93 +292,111 @@ def keep_earliest(t: pa.Table) -> pa.Table:
 
 
 class ShardedLshIndex:
-    """Driver-side handle over N ``_LshIndexShard`` actors."""
+    """Driver-side handle over N ``_LshIndexShard`` actors.
+
+    ``seq`` is the ingest number of the next chunk: ``add`` indexes its
+    batch as one chunk, ``ingest`` its window as chunks of ``chunk_rows``
+    rows."""
 
     def __init__(
         self, n_shards: int = 4, config: SignatureConfig | None = None
     ) -> None:
+        from clonehunter_ray.pipelines.dedup import DocSignatureStage
+
         self.config = config or SignatureConfig(
             shingle_k=5, num_bands=32, band_rows=4
         )
-        self.hasher = H.MinHasher(self.config.num_perm, self.config.seed)
+        self._signatures = DocSignatureStage(
+            self.config, emit=("shingles", "bands")
+        )
         self.n = n_shards
         self.shards = [_LshIndexShard.remote() for _ in range(n_shards)]
+        self.seq = 0
 
-    # -- signature plumbing --------------------------------------------------
+    # -- routing -------------------------------------------------------------
 
-    def _signatures(self, batch: pa.Table):
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        th = H.tokenize_hash_texts(batch["text"])
-        shingles = [H.shingle_hashes(x, self.config.shingle_k) for x in th]
-        sigs = self.hasher.signatures_batch(shingles)
-        bands = H.band_hashes_batch(
-            sigs, self.config.num_bands, self.config.band_rows
+    def _postings(self, sig: pa.Table, row_seq: np.ndarray):
+        """Per band shard: the (keys, doc_ids, seqs, rows) postings of
+        the signed rows ``sig`` (doc_id, shingles, band_keys)."""
+        ids = sig["doc_id"].to_numpy().astype(np.int64)
+        keys = (
+            pc.list_flatten(sig["band_keys"]).to_numpy().astype(np.uint64)
         )
-        return ids, shingles, bands
+        rows = np.repeat(np.arange(ids.size), self.config.num_bands)
+        band_shard = keys % np.uint64(self.n)
+        for s in range(self.n):
+            sel = band_shard == s
+            r = rows[sel]
+            yield self.shards[s], keys[sel], ids[r], row_seq[r], r
 
-    # -- mutations / queries -------------------------------------------------
-
-    def submit_add(self, ids: np.ndarray, blobs: list[bytes], bands: np.ndarray):
-        """Route one chunk's signatures to the shards WITHOUT blocking:
-        returns the per-shard add ObjectRefs (actor tasks execute in
-        submission order, so a caller that submits query-then-add per
-        chunk keeps append-only semantics with no driver barrier)."""
-        flat_keys = bands.ravel()
-        flat_ids = np.repeat(ids, bands.shape[1])
-        band_shard = (flat_keys % np.uint64(self.n)).astype(np.int64)
-        doc_shard = ids % self.n
+    def _put(self, sig: pa.Table) -> list:
+        """One ``put`` per shard: the payloads of the docs it owns."""
+        ids = sig["doc_id"].to_numpy().astype(np.int64)
+        owner = ids % self.n
         refs = []
         for s in range(self.n):
-            bm = band_shard == s
-            dm = np.flatnonzero(doc_shard == s)
+            sel = np.flatnonzero(owner == s)
             refs.append(
-                self.shards[s].add.remote(
-                    flat_keys[bm],
-                    flat_ids[bm],
-                    ids[dm],
-                    [blobs[i] for i in dm],
-                )
+                self.shards[s].put.remote(ids[sel], sig["shingles"].take(sel))
             )
         return refs
 
-    def submit_query_bands(self, ids: np.ndarray, bands: np.ndarray):
-        """Route one chunk's band keys to the shards WITHOUT blocking:
-        returns per-shard ``query_bands`` ObjectRefs resolving to
-        (local new-row idx, corpus doc_id) candidate arrays."""
-        flat_keys = bands.ravel()
-        flat_idx = np.repeat(
-            np.arange(len(ids), dtype=np.int64), bands.shape[1]
-        )
-        band_shard = (flat_keys % np.uint64(self.n)).astype(np.int64)
-        return [
-            self.shards[s].query_bands.remote(
-                flat_keys[band_shard == s], flat_idx[band_shard == s]
-            )
-            for s in range(self.n)
-        ]
-
-    def add(self, batch: pa.Table) -> None:
-        ids, shingles, bands = self._signatures(batch)
-        ray.get(
-            self.submit_add(ids, [s.tobytes() for s in shingles], bands)
-        )
-
-    def query(self, batch: pa.Table, threshold: float = 0.8) -> pa.Table:
-        """Verified near-dup pairs of ``batch`` against the CURRENT
-        index: (doc_id, dup_of, jaccard), one row per indexed doc whose
-        exact shingle Jaccard with the new doc reaches ``threshold``."""
-        ids, shingles, bands = self._signatures(batch)
-        cand = ray.get(self.submit_query_bands(ids, bands))
+    def _verify(self, cand: list, sig: pa.Table, threshold: float) -> pa.Table:
         new_idx, corpus = dedupe_candidate_pairs(cand)
         return verify_on_owners(
             self.shards,
             self.n,
             new_idx,
             corpus,
-            ids,
-            [s.tobytes() for s in shingles],
+            sig["doc_id"].to_numpy().astype(np.int64),
+            sig["shingles"],
             threshold,
         )
+
+    # -- mutations / queries -------------------------------------------------
+
+    def ingest(
+        self, sig: pa.Table, chunk_rows: int, threshold: float = 0.8
+    ) -> pa.Table:
+        """Streaming-ingest step over a window of signed rows split into
+        chunks of ``chunk_rows``: index every row and return, per row,
+        its EARLIEST verified near-dup among the rows of earlier chunks
+        (``keep_earliest`` of the flagged pairs). One ``ingest`` and one
+        ``put`` call per shard; the verify calls are submitted after the
+        puts to the same actors, so the window's blobs are in place."""
+        row_seq = self.seq + np.arange(sig.num_rows) // chunk_rows
+        refs = [
+            shard.ingest.remote(*postings)
+            for shard, *postings in self._postings(sig, row_seq)
+        ]
+        puts = self._put(sig)
+        self.seq += -(-sig.num_rows // chunk_rows)
+        flagged = self._verify(ray.get(refs), sig, threshold)
+        ray.get(puts)
+        return keep_earliest(flagged)
+
+    def add(self, batch: pa.Table) -> None:
+        """Index ``batch`` as the next chunk."""
+        sig = self._signatures(batch)
+        row_seq = np.full(sig.num_rows, self.seq, dtype=np.int64)
+        refs = [
+            shard.append.remote(keys, ids, seqs)
+            for shard, keys, ids, seqs, _ in self._postings(sig, row_seq)
+        ]
+        ray.get(refs + self._put(sig))
+        self.seq += 1
+
+    def query(self, batch: pa.Table, threshold: float = 0.8) -> pa.Table:
+        """Verified near-dup pairs of ``batch`` against the CURRENT
+        index: (doc_id, dup_of, jaccard), one row per indexed doc whose
+        exact shingle Jaccard with the new doc reaches ``threshold``."""
+        sig = self._signatures(batch)
+        row_seq = np.full(sig.num_rows, QUERY_SEQ, dtype=np.int64)
+        refs = [
+            shard.lookup.remote(keys, seqs, rows)
+            for shard, keys, _, seqs, rows in self._postings(sig, row_seq)
+        ]
+        return self._verify(ray.get(refs), sig, threshold)
 
     def query_then_add(self, batch: pa.Table, threshold: float = 0.8) -> pa.Table:
         """Streaming-ingest step: flag near-dups of EARLIER docs, then
@@ -449,10 +480,11 @@ class ShardedLshIndex:
 
     def restore_latest(self, checkpoint_dir: str) -> dict | None:
         """Restore shard state from the newest complete epoch under
-        ``checkpoint_dir`` (no-op returning None when there is none).
-        Raises if the checkpoint was written with a different shard
-        count or signature config — hash routing and band keys would
-        silently mismatch otherwise."""
+        ``checkpoint_dir`` (no-op returning None when there is none) and
+        continue numbering chunks from its ``seq``. Raises if the
+        checkpoint was written with a different shard count or signature
+        config — hash routing and band keys would silently mismatch
+        otherwise."""
         epochs = self.list_epochs(checkpoint_dir)
         if not epochs:
             return None
@@ -469,6 +501,7 @@ class ShardedLshIndex:
                 for i, s in enumerate(self.shards)
             ]
         )
+        self.seq = int(m["seq"])
         return m
 
     def shutdown(self) -> None:

@@ -339,6 +339,54 @@ def test_signature_stage_arrow_layout_matches_per_row_build():
     assert set(out.column_names) == set(out0.column_names)
 
 
+def test_doc_signature_stage_arrow_columns_match_list_build():
+    """DocSignatureStage's band_keys / simhash columns, built from the
+    numpy results without a tolist() round-trip, equal the list
+    construction over the per-row kernels, and the band explode reads
+    them back to the same (band_key, doc_id) rows."""
+    import pyarrow as pa
+
+    from clonehunter_ray.config import SignatureConfig
+    from clonehunter_ray.pipelines.dedup import (
+        DocSignatureStage,
+        _explode_doc_bands_ids,
+    )
+
+    texts = ["alpha beta gamma delta epsilon zeta", "", None, "a b",
+             "the quick brown fox " * 40]
+    batch = pa.table(
+        {
+            "doc_id": pa.array([7, 3, 11, 0, 5], pa.int64()),
+            "text": pa.array(texts, pa.string()),
+        }
+    )
+    cfg = SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
+    out = DocSignatureStage(cfg)(batch)
+
+    sh = [H.shingle_hashes(t, cfg.shingle_k)
+          for t in H.tokenize_hash_texts(batch["text"])]
+    sigs = H.MinHasher(cfg.num_perm, cfg.seed).signatures_batch(sh)
+    bands = H.band_hashes_batch(sigs, cfg.num_bands, cfg.band_rows)
+    assert out["band_keys"].combine_chunks().equals(
+        pa.array(bands.tolist(), pa.list_(pa.uint64()))
+    )
+    assert out["simhash"].combine_chunks().equals(
+        pa.array(H.simhash_batch(sh).tolist(), pa.uint64())
+    )
+    assert out["shingles"].combine_chunks().equals(
+        pa.array([s.tobytes() for s in sh], pa.binary())
+    )
+    exploded = _explode_doc_bands_ids(out)
+    assert exploded["band_key"].to_pylist() == bands.ravel().tolist()
+    assert exploded["doc_id"].to_pylist() == np.repeat(
+        [7, 3, 11, 0, 5], cfg.num_bands
+    ).tolist()
+
+    out0 = DocSignatureStage(cfg)(batch.slice(0, 0))
+    assert out0.schema.equals(out.schema)
+    assert _explode_doc_bands_ids(out0).num_rows == 0
+
+
 def test_lsh_tune_matches_hand_derived_configs():
     from clonehunter_ray.functions.hashing import (
         lsh_collision_prob,

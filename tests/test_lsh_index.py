@@ -202,3 +202,109 @@ def test_incremental_stream_checkpoint_config_mismatch(ray_session, tmp_path):
             config=other,
             checkpoint_dir=ckpt,
         )
+
+
+def _stream_map(ds, **kw):
+    got = incremental_dedup_stream(ds, threshold=0.8, config=CFG, **kw)
+    return {
+        int(r.doc_id): (int(r.dup_of), float(r.jaccard))
+        for r in got.to_pandas().itertuples()
+    }
+
+
+def test_incremental_stream_multi_window_matches_oracle(ray_session):
+    """Windows of snapshot_every chunks, no checkpoint: 30 chunks of 17
+    rows in 10 windows give the per-chunk query-then-add results."""
+    t = pq.read_table(
+        f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]
+    ).sort_by("doc_id")
+    oracle = _exact_stream_oracle(
+        t["doc_id"].to_pylist(), t["text"].to_pylist(), 0.8, chunk_rows=17
+    )
+    got = _stream_map(ray.data.from_arrow(t), chunk_rows=17, snapshot_every=3)
+    assert got.keys() == oracle.keys()
+    for d, (dup_of, jac) in oracle.items():
+        assert got[d] == (dup_of, pytest.approx(jac, abs=0))
+
+
+def test_incremental_stream_chunks_inside_one_window(ray_session):
+    """One window of three 2-row chunks: a duplicate in the SAME chunk
+    is not flagged, one in an earlier chunk of the window is, with the
+    earliest dup_of."""
+    x = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 3
+    y = "one two three four five six seven eight nine ten eleven " * 3
+    z = "completely unrelated words that share nothing else here " * 3
+    ds = ray.data.from_arrow(_mk_batch([1, 2, 3, 4, 5, 6], [x, x, y, x, y, z]))
+    got = _stream_map(ds, chunk_rows=2, snapshot_every=3)
+    assert got == {4: (1, 1.0), 5: (3, 1.0)}
+
+
+def _band_keys(texts):
+    sigs = H.MinHasher(CFG.num_perm, CFG.seed).signatures_batch(
+        _shingle_sets(texts)
+    )
+    return H.band_hashes_batch(sigs, CFG.num_bands, CFG.band_rows)
+
+
+def test_index_successive_adds_then_query(ray_session):
+    """Three adds, one query: matches from every add come back, and the
+    stats count the indexed docs and distinct band keys."""
+    texts = [
+        f"shared prefix words one two three four five six {i % 3}"
+        for i in range(9)
+    ]
+    idx = ShardedLshIndex(n_shards=3, config=CFG)
+    try:
+        for lo in (0, 3, 6):
+            idx.add(_mk_batch(list(range(lo, lo + 3)), texts[lo : lo + 3]))
+        res = idx.query(_mk_batch([100], [texts[0]]), threshold=1.0)
+        assert sorted(res["dup_of"].to_pylist()) == [0, 3, 6]
+        stats = idx.stats()
+        assert sum(s["docs"] for s in stats) == 9
+        assert sum(s["band_keys"] for s in stats) == np.unique(
+            _band_keys(texts)
+        ).size
+    finally:
+        idx.shutdown()
+
+
+def test_index_snapshot_restore_same_query(ray_session, tmp_path):
+    texts = [f"some distinct text body number {i % 4} " * 6 for i in range(20)]
+    probe = _mk_batch([100, 101], [texts[1], "nothing in common at all " * 5])
+    ckpt = str(tmp_path / "lsh_snap")
+    idx = ShardedLshIndex(n_shards=3, config=CFG)
+    try:
+        idx.add(_mk_batch(list(range(20)), texts))
+        want = idx.query(probe).sort_by("dup_of")
+        want_stats = idx.stats()
+        idx.snapshot(ckpt, seq=1, max_doc_id=19)
+    finally:
+        idx.shutdown()
+    assert want.num_rows == 5
+    fresh = ShardedLshIndex(n_shards=3, config=CFG)
+    try:
+        assert fresh.restore_latest(ckpt)["seq"] == 1
+        got = fresh.query(probe).sort_by("dup_of")
+        assert got.equals(want)
+        assert fresh.stats() == want_stats
+    finally:
+        fresh.shutdown()
+
+
+def test_incremental_stream_resume_restored_postings_are_earlier(
+    ray_session, tmp_path
+):
+    """A stream resumed from an epoch matches its new chunk against the
+    restored postings, even inside the first resumed chunk."""
+    x = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 3
+    y = "one two three four five six seven eight nine ten eleven " * 3
+    ckpt = str(tmp_path / "lsh_resume")
+    first = ray.data.from_arrow(_mk_batch([1, 2], [x, y]))
+    assert (
+        _stream_map(first, chunk_rows=2, snapshot_every=1, checkpoint_dir=ckpt)
+        == {}
+    )
+    assert ShardedLshIndex.list_epochs(ckpt)[-1]["max_doc_id"] == 2
+    more = ray.data.from_arrow(_mk_batch([1, 2, 3, 4], [x, y, x, x]))
+    got = _stream_map(more, chunk_rows=2, snapshot_every=1, checkpoint_dir=ckpt)
+    assert got == {3: (1, 1.0), 4: (1, 1.0)}
