@@ -20,7 +20,8 @@ Scale shapes (100 TB):
 - dedup flag exchange moves 24 B/doc (two sha256 lanes + doc_id);
   only LOSERS (all-but-first per duplicate group, bounded by the dup
   rate) flow to the anti-join's right side, which
-  util.left_attach_or_nulls materializes — narrow by construction.
+  stages/candidates.attach_by_key materializes and broadcasts when it
+  fits the one broadcast cutover — narrow by construction.
 - the benchmark side is eval-set-sized by definition, so its distinct
   gram hashes broadcast once via ray.put (the corpus-scale
   contamination-source variant is queries.decontaminate_documents_
@@ -115,7 +116,6 @@ def curate_documents(
     min_distinct_ratio: float = 0.35,
     mean_len_range: tuple[float, float] = (3.0, 8.0),
     num_partitions: int = 64,
-    loser_broadcast_limit: int = 20_000_000,
 ) -> "ray.data.Dataset":
     """Curate ``docs_ds`` (doc_id, text, lang, source) against the
     held-out ``bench_ds`` (doc_id, text). See module docstring."""
@@ -125,10 +125,8 @@ def curate_documents(
         _collect_gram_set,
         _count_gram_hits,
     )
-    from clonehunter_ray.util import (
-        left_attach_or_nulls,
-        safe_join_partitions,
-    )
+    from clonehunter_ray.stages.candidates import attach_by_key
+    from clonehunter_ray.util import safe_join_partitions
 
     nparts = safe_join_partitions(num_partitions)
 
@@ -155,54 +153,25 @@ def curate_documents(
         .groupby("part")
         .map_groups(_losers_partition, batch_format="pyarrow")
     )
-    # the loser set is bounded by the dup rate and ids-only; when it
-    # broadcasts (the overwhelmingly common case) the corpus streams
-    # through a stateless searchsorted drop and TEXT NEVER ENTERS A
-    # SHUFFLE. The left-outer anti-join (which hash-partitions the
-    # full corpus text by doc_id) remains only as the fallback for an
-    # adversarial mostly-duplicates corpus.
-    losers = losers.materialize()
-    if losers.count() <= loser_broadcast_limit:
-        parts = [
-            t for t in ray.get(losers.to_arrow_refs()) if t.num_rows
-        ]
-        loser_ids = (
-            np.sort(
-                np.concatenate(
-                    [
-                        p["d_id"].to_numpy(zero_copy_only=False)
-                        for p in parts
-                    ]
-                )
-            )
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
-        loser_ref = ray.put(loser_ids)
-
-        def _drop_bcast(batch: pa.Table) -> pa.Table:
-            lid = ray.get(loser_ref)
-            if lid.size == 0:
-                return batch
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(lid, ids)
-            pos_c = np.minimum(pos, lid.size - 1)
-            hit = (pos < lid.size) & (lid[pos_c] == ids)
-            return batch.filter(pa.array(~hit, pa.bool_()))
-
-        alive = docs_ds.map_batches(_drop_bcast, batch_format="pyarrow")
-    else:
-        def _drop_losers(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.is_null(batch["dup"]))
-
-        alive = left_attach_or_nulls(
-            docs_ds,
-            losers,
-            nparts,
-            on=("doc_id",),
-            right_on=("d_id",),
-            right_schema=_LOSER_SCHEMA,
-        ).map_batches(_drop_losers, batch_format="pyarrow")
+    # the loser set is bounded by the dup rate and ids-only; the
+    # anti-join (left attach + is_null) broadcasts it whenever it
+    # ``fits_broadcast`` (the overwhelmingly common case), so the
+    # corpus streams through a stateless probe and TEXT NEVER ENTERS A
+    # SHUFFLE. The partitioned left-outer join (which hash-partitions
+    # the full corpus text by doc_id) remains only for an adversarial
+    # mostly-duplicates corpus.
+    alive = attach_by_key(
+        docs_ds,
+        losers,
+        "d_id",
+        ["dup"],
+        on="doc_id",
+        how="left",
+        num_partitions=nparts,
+        schema=_LOSER_SCHEMA,
+    ).map_batches(
+        lambda t: t.filter(pc.is_null(t["dup"])), batch_format="pyarrow"
+    )
 
     # --- benchmark gram set: small by definition, broadcast once ---
     bench_set = _collect_gram_set(bench_ds, gram_k)

@@ -297,15 +297,11 @@ def fuzzy_decontaminate_documents(
         .select_columns(["text"])
         .materialize()
     )
-    fits, rows, nbytes = candidates.fits_broadcast(bench)
-    if not fits:
-        raise ValueError(
-            f"fuzzy_decontaminate_documents: the benchmark side ({rows} "
-            f"rows, {nbytes} bytes) is over the broadcast cutover "
-            f"({candidates.BROADCAST_MAX_ROWS} rows, "
-            f"{candidates.BROADCAST_MAX_BYTES} bytes); it is collected "
-            "onto the driver, so this shape needs a smaller benchmark set"
-        )
+    candidates.guard_broadcast(
+        bench,
+        "fuzzy_decontaminate_documents: the benchmark side",
+        "this shape needs a smaller benchmark set",
+    )
 
     # driver-side CSR index over the (small) benchmark token sets
     bench_sets: list[np.ndarray] = []
@@ -1183,57 +1179,33 @@ def top_users_by_value(sf_dir: str, k: int = 10):
 
 def suppliers_per_region(sf_dir: str):
     """Dimension-chain rollup exercising region/nation/supplier: count
-    suppliers and sum account balance per region, dimensions broadcast
-    (map-side join — no shuffle until the tiny final groupby)."""
+    suppliers and sum account balance per region. nation, then region,
+    attach through stages/candidates.attach_by_key (broadcast as one
+    key-sorted plasma table when a side ``fits_broadcast`` — the map-
+    side join, no shuffle until the tiny final groupby — or a
+    partitioned hash join above it); inner-join semantics, so a
+    supplier with an unknown nationkey is dropped, matching the
+    oracle's INNER JOIN (TPC-H FK integrity means none are)."""
     import pyarrow.compute as pc
 
-    nation = pa.concat_tables(
-        _collect_tables(_read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]))
-    )
-    region = pa.concat_tables(
-        _collect_tables(_read(sf_dir, "region", ["r_regionkey", "r_name"]))
-    )
-    # broadcast the two tiny dims as SORTED numpy lookup arrays: the
-    # per-batch join is two vectorized searchsorted probes (inner-join
-    # semantics — a supplier with an unknown nationkey is dropped,
-    # matching the oracle's INNER JOIN; TPC-H FK integrity means none
-    # are in practice)
-    nk = nation["n_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    nr = nation["n_regionkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(nk)
-    nk, nr = nk[order], nr[order]
-    rk = region["r_regionkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    rn = np.asarray(region["r_name"].to_pylist(), dtype=object)
-    rorder = np.argsort(rk)
-    rk, rn = rk[rorder], rn[rorder]
-    maps_ref = ray.put((nk, nr, rk, rn))
+    from clonehunter_ray.stages.candidates import attach_by_key
 
-    def join_batch(batch: pa.Table) -> pa.Table:
-        nk_, nr_, rk_, rn_ = ray.get(maps_ref)
-        keys = (
-            batch["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        pos = np.clip(np.searchsorted(nk_, keys), 0, len(nk_) - 1)
-        hit = nk_[pos] == keys
-        regkey = nr_[pos[hit]]
-        rpos = np.clip(np.searchsorted(rk_, regkey), 0, len(rk_) - 1)
-        rhit = rk_[rpos] == regkey
-        t = pa.table(
-            {
-                "r_name": pa.array(rn_[rpos[rhit]], pa.string()),
-                "bal": batch["s_acctbal"]
-                .filter(pa.array(hit, pa.bool_()))
-                .filter(pa.array(rhit, pa.bool_())),
-            }
-        )
-        g = t.group_by("r_name").aggregate([("bal", "count"), ("bal", "sum")])
-        return g.rename_columns(["r_name", "n", "b"])
-
-    ds = _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]).map_batches(
-        join_batch, batch_format="pyarrow"
+    sup = attach_by_key(
+        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]),
+        _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]),
+        "n_nationkey",
+        ["n_regionkey"],
+        on="s_nationkey",
     )
-    agg = ds.groupby("r_name").aggregate(
-        Sum("n", alias_name="n_sum"), Sum("b", alias_name="b_sum")
+    sup = attach_by_key(
+        sup,
+        _read(sf_dir, "region", ["r_regionkey", "r_name"]),
+        "r_regionkey",
+        ["r_name"],
+        on="n_regionkey",
+    )
+    agg = sup.groupby("r_name").aggregate(
+        Count(alias_name="n_sum"), Sum("s_acctbal", alias_name="b_sum")
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1408,9 +1380,7 @@ def _flat_tokens_lower(text_col):
 _MG_ERR_KEY = "\x00__mg_err__"
 
 
-def zipf_token_audit(
-    sf_dir: str, top_k: int = 10, vocab_limit: int = 2_000_000
-):
+def zipf_token_audit(sf_dir: str, top_k: int = 10):
     """Corpus-health audit: type/token counts, top-``top_k``-type
     coverage, and the Zipf slope (OLS of ln(freq) on ln(rank) over the
     frequency-ranked vocabulary, rank ties broken by token) — the
@@ -1420,12 +1390,13 @@ def zipf_token_audit(
 
     Ray shape: per-batch token-count folds -> ONE vocab-bounded
     groupby(tok) exchange; the ranked walk then runs on the collected
-    (tok, n) table — vocabulary-sized, not corpus-sized, same bounded
-    collect the PMI broadcast path documents (``vocab_limit`` guards
-    it; a 100 TB-vocabulary variant would rank via a count-histogram
-    prefix scan instead). Coverage is integer-exact; the slope is the
-    standard centered-moments formula, matching DuckDB ``regr_slope``
-    to ~1e-12 before the shared 6 dp rounding.
+    (tok, n) table — vocabulary-sized, not corpus-sized. The counts
+    are materialized and sized by stages/candidates.fits_broadcast
+    BEFORE the collect, and a vocabulary over that cutover raises
+    ``ValueError`` (a 100 TB-vocabulary variant would rank via a
+    count-histogram prefix scan instead). Coverage is integer-exact;
+    the slope is the standard centered-moments formula, matching DuckDB
+    ``regr_slope`` to ~1e-12 before the shared 6 dp rounding.
     """
     docs = _read(sf_dir, "documents", ["text"])
     cnt_schema = pa.schema([("tok", pa.string()), ("n", pa.int64())])
@@ -1446,12 +1417,18 @@ def zipf_token_audit(
             schema=cnt_schema,
         )
 
+    from clonehunter_ray.stages import candidates
     from clonehunter_ray.util import scrub_empty_blocks
 
     counts = scrub_empty_blocks(
         docs.map_batches(fold, batch_format="pyarrow").groupby("tok").sum("n")
+    ).materialize()
+    candidates.guard_broadcast(
+        counts,
+        "zipf_token_audit: the vocabulary",
+        "this corpus needs a histogram-rank variant",
     )
-    blocks = [t for t in ray.get(counts.to_arrow_refs()) if t.num_rows]
+    blocks = _collect_tables(counts)
     out_schema = pa.schema(
         [
             ("n_types", pa.int64()),
@@ -1475,11 +1452,6 @@ def zipf_token_audit(
             )
         )
     allc = pa.concat_tables(blocks).combine_chunks()
-    if allc.num_rows > vocab_limit:
-        raise ValueError(
-            f"zipf_token_audit: vocabulary {allc.num_rows} exceeds "
-            f"vocab_limit={vocab_limit}; use a histogram-rank variant"
-        )
     toks = np.asarray(allc["tok"].to_pylist(), dtype=object)
     ns = allc["sum(n)"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((toks, -ns))  # freq desc, token asc
@@ -1844,18 +1816,19 @@ def events_sessionization(sf_dir: str, gap_minutes: int = 30):
 
 
 def customers_without_orders(sf_dir: str):
-    """Anti-join done distributed: customers with no URGENT orders via
-    a LEFT OUTER hash join against the distinct urgent-order custkeys,
-    keeping the null-extended rows — no driver-side key set, both
-    sides stream through the partitioned join. (Scoped to URGENT
-    because the synthetic data gives every customer *some* order — an
-    unscoped anti-join is degenerately empty at every sf.)"""
-    from clonehunter_ray.util import safe_join_partitions
-
+    """Anti-join: customers with no URGENT orders. The distinct
+    urgent-order custkeys (per-batch distinct, then a groupby) left-
+    attach onto customer through stages/candidates.attach_by_key —
+    broadcast as one key-sorted plasma table when they
+    ``fits_broadcast``, a partitioned left-outer join above — and the
+    null-extended rows are kept; no driver-side key set. Zero urgent
+    orders give an empty side, which attach_by_key extends with typed
+    nulls (every customer is kept). (Scoped to URGENT because the
+    synthetic data gives every customer *some* order — an unscoped
+    anti-join is degenerately empty at every sf.)"""
     import pyarrow.compute as pc
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
+    from clonehunter_ray.stages.candidates import attach_by_key
 
     def local_distinct(batch: pa.Table) -> pa.Table:
         urgent = batch.filter(
@@ -1865,23 +1838,19 @@ def customers_without_orders(sf_dir: str):
         return pa.table({"o_custkey": pa.array(keys, pa.int64())})
 
     dist = (
-        orders.map_batches(local_distinct, batch_format="pyarrow")
+        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
+        .map_batches(local_distinct, batch_format="pyarrow")
         .groupby("o_custkey")
         .aggregate(Count(alias_name="n_o"))
     )
-    from clonehunter_ray.util import left_attach_or_nulls
-
-    # zero urgent orders -> dist is GLOBALLY empty, which crashes
-    # Ray's hash join (see util.left_attach_or_nulls)
-    joined = left_attach_or_nulls(
-        cust,
+    joined = attach_by_key(
+        _read(sf_dir, "customer", ["c_custkey", "c_name"]),
         dist,
-        16,
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-        right_schema=pa.schema(
-            [("o_custkey", pa.int64()), ("n_o", pa.int64())]
-        ),
+        "o_custkey",
+        ["n_o"],
+        on="c_custkey",
+        how="left",
+        schema=pa.schema([("o_custkey", pa.int64()), ("n_o", pa.int64())]),
     )
 
     def keep_unmatched(batch: pa.Table) -> pa.Table:
@@ -1891,147 +1860,78 @@ def customers_without_orders(sf_dir: str):
     return joined.map_batches(keep_unmatched, batch_format="pyarrow")
 
 
-def shipping_priority_revenue(
-    sf_dir: str,
-    k: int = 10,
-    customer_broadcast_limit: int = 1_000_000,
-    orders_broadcast_limit: int = 2_000_000,
-):
+def shipping_priority_revenue(sf_dir: str, k: int = 10):
     """TPC-H Q3 flavor: top-k open orders of BUILDING-segment customers
-    by pending revenue. Ray shape: the segment's custkeys semi-join-
-    filter orders — broadcast below ``customer_broadcast_limit``
-    customer rows, partitioned hash join above (no unconditional
-    driver-side dict of a fact-scale table) — lineitem pre-aggregated
-    per orderkey behind its date filter (combiner), then the
-    doubly-filtered orders side (segment x date cuts it to a few % of
-    the table) attaches via a broadcast sorted-array searchsorted map
-    below ``orders_broadcast_limit`` rows or a partitioned hash join
-    above, tiny final groupby + sort-limit."""
-    from clonehunter_ray.util import safe_join_partitions
+    by pending revenue. Ray shape: orders behind their date filter
+    semi-join the segment's custkeys, lineitem is pre-aggregated per
+    orderkey behind its date filter (combiner), and the doubly-filtered
+    orders side (segment x date cuts it to a few % of the table)
+    attaches its order date onto those partials — both through
+    stages/candidates.attach_by_key (one key-sorted plasma table when
+    the side ``fits_broadcast``, a partitioned hash join above it, so
+    no fact-scale table is ever broadcast) — then a tiny final groupby
+    + sort-limit."""
+    import datetime
 
-    cutoff = pd.Timestamp("1995-03-15")
-    cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    nparts = safe_join_partitions(16)
+    import pyarrow.compute as pc
 
-    date_schema = pa.schema(
-        [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
-         ("o_orderdate", pa.string())]
-    )
-    seg_schema = pa.schema(
-        [("o_orderkey", pa.int64()), ("o_orderdate", pa.string())]
-    )
+    from clonehunter_ray.stages.candidates import attach_by_key
 
-    def date_filter(batch: pd.DataFrame) -> pa.Table:
-        out = batch.loc[
-            batch["o_orderdate"] < cutoff,
-            ["o_orderkey", "o_custkey", "o_orderdate"],
-        ].copy()
-        out["o_orderdate"] = out["o_orderdate"].dt.strftime("%Y-%m-%d")
-        return _pt(out, schema=date_schema)
+    cutoff = pa.scalar(datetime.datetime(1995, 3, 15), pa.timestamp("us"))
+
+    def date_filter(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pc.less(batch["o_orderdate"], cutoff))
+        day = pc.cast(pc.cast(t["o_orderdate"], pa.date32()), pa.string())
+        return t.set_column(
+            t.schema.get_field_index("o_orderdate"), "o_orderdate", day
+        )
 
     orders = _read(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(date_filter, batch_format="pandas")
+    ).map_batches(date_filter, batch_format="pyarrow")
+    building = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).filter(
+        expr="c_mktsegment == 'BUILDING'"
+    )
+    orders = attach_by_key(orders, building, "c_custkey", [], on="o_custkey")
 
-    if cust_ds.count() <= customer_broadcast_limit:
-        cust = cust_ds.to_pandas()
-        building = np.sort(
-            cust.loc[cust["c_mktsegment"] == "BUILDING", "c_custkey"].to_numpy()
+    def line_partial(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pc.greater(batch["l_shipdate"], cutoff))
+        rev = pc.multiply(
+            t["l_extendedprice"], pc.subtract(1, t["l_discount"])
         )
-        bref = ray.put(building)
-
-        def seg_filter(batch: pd.DataFrame) -> pa.Table:
-            m = np.isin(batch["o_custkey"].to_numpy(), ray.get(bref))
-            return _pt(
-                batch.loc[m, ["o_orderkey", "o_orderdate"]], schema=seg_schema
-            )
-
-        orders = orders.map_batches(seg_filter, batch_format="pandas")
-    else:
-        seg_keys = cust_ds.filter(
-            expr="c_mktsegment == 'BUILDING'"
-        ).select_columns(["c_custkey"])
-        from clonehunter_ray.util import safe_join
-
-        orders = safe_join(
-            orders,
-            seg_keys,
-            "inner",
-            nparts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        ).select_columns(["o_orderkey", "o_orderdate"])
-
-    def line_partial(batch: pd.DataFrame) -> pa.Table:
-        m = batch["l_shipdate"] > cutoff
-        b = batch.loc[m].assign(
-            rev=lambda d: d["l_extendedprice"] * (1 - d["l_discount"])
+        return (
+            pa.table({"l_orderkey": t["l_orderkey"], "rev": rev})
+            .group_by("l_orderkey", use_threads=False)
+            .aggregate([("rev", "sum")])
+            .rename_columns(["l_orderkey", "v"])
         )
-        return _pt(b.groupby("l_orderkey", as_index=False).agg(v=("rev", "sum")))
 
     line = _read(
         sf_dir,
         "lineitem",
         ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-    ).map_batches(line_partial, batch_format="pandas")
-
-    orders = orders.materialize()  # doubly-filtered: tiny vs the table
-    if orders.count() <= orders_broadcast_limit:
-        odf = orders.to_pandas()
-        okeys = odf["o_orderkey"].to_numpy(dtype=np.int64)
-        osort = np.argsort(okeys)
-        oref = ray.put((okeys[osort], odf["o_orderdate"].to_numpy()[osort]))
-        _JOINED_SCHEMA = pa.schema(
-            [
-                ("l_orderkey", pa.int64()),
-                ("o_orderdate", pa.string()),
-                ("v", pa.float64()),
-            ]
-        )
-
-        def attach(batch: pd.DataFrame) -> pa.Table:
-            keys, dates = ray.get(oref)
-            if len(keys) == 0 or len(batch) == 0:
-                return _JOINED_SCHEMA.empty_table()
-            lk = batch["l_orderkey"].to_numpy(dtype=np.int64)
-            pos = np.clip(np.searchsorted(keys, lk), 0, len(keys) - 1)
-            m = keys[pos] == lk
-            b = batch.loc[m]
-            return pa.table(
-                {
-                    "l_orderkey": pa.array(lk[m], pa.int64()),
-                    "o_orderdate": pa.array(dates[pos[m]], pa.string()),
-                    "v": pa.array(b["v"].to_numpy(), pa.float64()),
-                }
-            )
-
-        joined = line.map_batches(attach, batch_format="pandas")
-    else:
-        from clonehunter_ray.util import safe_join
-
-        joined = safe_join(
-            line,
-            orders,
-            "inner",
-            nparts,
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
+    ).map_batches(line_partial, batch_format="pyarrow")
+    joined = attach_by_key(
+        line, orders, "o_orderkey", ["o_orderdate"], on="l_orderkey"
+    )
     agg = joined.groupby(["l_orderkey", "o_orderdate"]).aggregate(
         Sum("v", alias_name="v_sum")
     )
 
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def finish(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "l_orderkey": batch["l_orderkey"].astype("int64"),
+                "l_orderkey": pc.cast(batch["l_orderkey"], pa.int64()),
                 "o_orderdate": batch["o_orderdate"],
-                "revenue": batch["v_sum"].round(2),
+                "revenue": pa.array(
+                    np.round(batch["v_sum"].to_numpy(zero_copy_only=False), 2),
+                    pa.float64(),
+                ),
             }
         )
 
     return (
-        agg.map_batches(finish, batch_format="pandas")
+        agg.map_batches(finish, batch_format="pyarrow")
         .sort(
             ["revenue", "o_orderdate", "l_orderkey"],
             descending=[True, False, False],
@@ -2247,106 +2147,83 @@ def events_rolling_7d(sf_dir: str):
     return daily.groupby("event_type").map_groups(rolling, batch_format="pyarrow")
 
 
-def revenue_by_nation(sf_dir: str, customer_broadcast_limit: int = 1_000_000):
-    """Multi-table star join done the Ray-Data way: the fact-fact edge
-    (lineitem ⋈ orders) is a partitioned hash join — neither fact table
-    ever touches the driver — and the lineitem side is pre-aggregated
-    per orderkey inside map_batches (combiner) so the join ships
-    partial sums, not raw line items. The customer dimension is
-    broadcast as a plain dict ONLY below ``customer_broadcast_limit``
-    rows (customer is 1/10th of orders — unconditionally broadcasting
-    it is tens of GB per node at 100x scale); above the limit it joins
-    partitioned, the same broadcast-or-join dispatch the pair attaches
-    make with stages/candidates.fits_broadcast (this dimension keeps
-    its own knob: its lookup is a driver dict, not a plasma table).
-    nation (25 rows) is always broadcast."""
-    from clonehunter_ray.util import safe_join_partitions
+def revenue_by_nation(sf_dir: str):
+    """Multi-table star join done the Ray-Data way: the lineitem side
+    is pre-aggregated per orderkey inside map_batches (combiner, so the
+    attaches carry partial sums, not raw line items), then orders,
+    customer and nation attach in turn through
+    stages/candidates.attach_by_key — each side broadcast as one
+    key-sorted plasma table when it ``fits_broadcast``, a partitioned
+    hash join otherwise (orders is fact-scale and customer is 1/10th
+    of it, so neither is broadcast unconditionally). Inner-join
+    semantics throughout, then a per-batch nation partial and a tiny
+    final groupby."""
+    import pyarrow.compute as pc
 
-    cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    nation_name = dict(zip(nation["n_nationkey"], nation["n_name"]))
-    # metadata-only count on a pure parquet read: cheap dispatch
-    broadcast_cust = cust_ds.count() <= customer_broadcast_limit
+    from clonehunter_ray.stages.candidates import attach_by_key
 
-    def partial_by_order(batch: pd.DataFrame) -> pa.Table:
-        batch = batch.assign(
-            rev=batch["l_extendedprice"] * (1 - batch["l_discount"])
+    def partial_by_order(batch: pa.Table) -> pa.Table:
+        rev = pc.multiply(
+            batch["l_extendedprice"],
+            pc.subtract(1, batch["l_discount"]),
         )
-        return _pt(
-            batch.groupby("l_orderkey", as_index=False).agg(
-                v=("rev", "sum"), n=("rev", "size")
-            )
+        return (
+            pa.table({"l_orderkey": batch["l_orderkey"], "rev": rev})
+            .group_by("l_orderkey", use_threads=False)
+            .aggregate([("rev", "sum"), ("rev", "count")])
+            .rename_columns(["l_orderkey", "v", "n"])
         )
 
     line = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
-    ).map_batches(partial_by_order, batch_format="pandas")
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    from clonehunter_ray.util import safe_join
-
-    nparts = safe_join_partitions(16)
-    joined = safe_join(
-        line, orders, "inner", nparts, on=("l_orderkey",), right_on=("o_orderkey",)
+    ).map_batches(partial_by_order, batch_format="pyarrow")
+    keyed = attach_by_key(
+        line,
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+        "o_orderkey",
+        ["o_custkey"],
+        on="l_orderkey",
+    )
+    keyed = attach_by_key(
+        keyed,
+        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+        "c_custkey",
+        ["c_nationkey"],
+        on="o_custkey",
+    )
+    keyed = attach_by_key(
+        keyed,
+        _read(sf_dir, "nation", ["n_nationkey", "n_name"]),
+        "n_nationkey",
+        ["n_name"],
+        on="c_nationkey",
     )
 
-    if broadcast_cust:
-        cust = cust_ds.to_pandas()
-        maps_ref = ray.put(
-            (dict(zip(cust["c_custkey"], cust["c_nationkey"])), nation_name)
+    def to_nation(batch: pa.Table) -> pa.Table:
+        return (
+            batch.select(["n_name", "v", "n"])
+            .group_by("n_name", use_threads=False)
+            .aggregate([("v", "sum"), ("n", "sum")])
+            .rename_columns(["n_name", "v", "n"])
         )
 
-        def to_nation(batch: pd.DataFrame) -> pa.Table:
-            cn, nn = ray.get(maps_ref)
-            nat = batch["o_custkey"].map(cn).map(nn)
-            df = pd.DataFrame({"n_name": nat, "v": batch["v"], "n": batch["n"]})
-            return _pt(
-                df.groupby("n_name", as_index=False).agg(
-                    v=("v", "sum"), n=("n", "sum")
-                )
-            )
+    agg = keyed.map_batches(to_nation, batch_format="pyarrow").groupby(
+        "n_name"
+    ).aggregate(Sum("v", alias_name="v_sum"), Sum("n", alias_name="n_sum"))
 
-        keyed = joined.map_batches(to_nation, batch_format="pandas")
-    else:
-        nn_ref = ray.put(nation_name)
-        joined = safe_join(
-            joined,
-            cust_ds,
-            "inner",
-            nparts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
-
-        def to_nation_joined(batch: pd.DataFrame) -> pa.Table:
-            df = pd.DataFrame(
-                {
-                    "n_name": batch["c_nationkey"].map(ray.get(nn_ref)),
-                    "v": batch["v"],
-                    "n": batch["n"],
-                }
-            )
-            return _pt(
-                df.groupby("n_name", as_index=False).agg(
-                    v=("v", "sum"), n=("n", "sum")
-                )
-            )
-
-        keyed = joined.map_batches(to_nation_joined, batch_format="pandas")
-
-    agg = keyed.groupby("n_name").aggregate(
-        Sum("v", alias_name="v_sum"), Sum("n", alias_name="n_sum")
-    )
-
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def finish(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "n_name": batch["n_name"],
-                "revenue": batch["v_sum"].round(2),
-                "n_items": batch["n_sum"].astype("int64"),
+                "revenue": pa.array(
+                    np.round(batch["v_sum"].to_numpy(zero_copy_only=False), 2),
+                    pa.float64(),
+                ),
+                "n_items": pc.cast(batch["n_sum"], pa.int64()),
             }
         )
 
-    return agg.map_batches(finish, batch_format="pandas")
+    return agg.map_batches(finish, batch_format="pyarrow")
 
 
 def large_volume_orders(sf_dir: str, min_qty: float = 320.0):
@@ -2358,11 +2235,19 @@ def large_volume_orders(sf_dir: str, min_qty: float = 320.0):
     row per order per batch, not per line item), (2) tiny
     groupby(l_orderkey) sum + HAVING filter — the surviving set is
     small BY CONSTRUCTION (the threshold selects the top ~0.1% of
-    orders), (3) the survivors broadcast once via ray.put, and both
-    fact tables (orders, customer) stream through stateless lookup
-    filters against it. No fact-scale table is ever collected.
+    orders), (3) the survivors attach onto orders through
+    stages/candidates.attach_by_key (one key-sorted plasma table when
+    they ``fits_broadcast``, a partitioned hash join above), (4) the
+    surviving orders — guarded by the same cutover, raising past it —
+    are collected, sorted by custkey and broadcast via ray.put, and the
+    customer fact table streams through a one-to-many expansion
+    against them (a customer may own several survivors). No
+    fact-scale table is ever collected.
     """
     import pyarrow.compute as pc
+
+    from clonehunter_ray.stages import candidates
+    from clonehunter_ray.stages.candidates import attach_by_key
 
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
@@ -2379,7 +2264,13 @@ def large_volume_orders(sf_dir: str, min_qty: float = 320.0):
         )
 
     def having(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater(batch["sum_qty"], min_qty))
+        t = batch.filter(pc.greater(batch["sum_qty"], min_qty))
+        qty = np.round(t["sum_qty"].to_numpy(zero_copy_only=False), 2)
+        return t.set_column(
+            t.schema.get_field_index("sum_qty"),
+            "sum_qty",
+            pa.array(qty, pa.float64()),
+        )
 
     big = (
         line.map_batches(partial, batch_format="pyarrow")
@@ -2387,41 +2278,27 @@ def large_volume_orders(sf_dir: str, min_qty: float = 320.0):
         .aggregate(Sum("q", alias_name="sum_qty"))
         .map_batches(having, batch_format="pyarrow")
     )
-    # survivors are ~0.1% of orders by design of the HAVING threshold;
-    # collect sorted-by-key so workers can searchsorted against them
-    # fallback schema = the aggregate's output (l_orderkey key +
-    # Sum alias sum_qty above); keep in sync if that changes
-    big_parts = _collect_tables(big) or [
-        pa.table(
-            {
-                "l_orderkey": pa.array([], pa.int64()),
-                "sum_qty": pa.array([], pa.float64()),
-            }
-        )
-    ]
-    big_tbl = pa.concat_tables(big_parts)
-    order_k = np.argsort(big_tbl["l_orderkey"].to_numpy(zero_copy_only=False))
-    big_keys = big_tbl["l_orderkey"].to_numpy(zero_copy_only=False)[order_k]
-    big_qty = big_tbl["sum_qty"].to_numpy(zero_copy_only=False)[order_k]
-    keys_ref = ray.put((big_keys, big_qty))
-
-    def match_orders(batch: pa.Table) -> pa.Table:
-        bk, bq = ray.get(keys_ref)
-        keys = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-        mask = np.isin(keys, bk)
-        kept = batch.filter(pa.array(mask, pa.bool_()))
-        pos = np.searchsorted(bk, keys[mask])
-        return kept.append_column(
-            "sum_qty", pa.array(np.round(bq[pos], 2), pa.float64())
-        )
-
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
-    ).map_batches(match_orders, batch_format="pyarrow")
-    # surviving orders (small) broadcast sorted by custkey; the
-    # customer fact table streams against them
-    # fallback schema = the orders _read column list + match_orders'
-    # appended sum_qty; keep in sync if either changes
+    orders = attach_by_key(
+        _read(
+            sf_dir,
+            "orders",
+            ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
+        ),
+        big,
+        "l_orderkey",
+        ["sum_qty"],
+        on="o_orderkey",
+        schema=pa.schema([("l_orderkey", pa.int64()), ("sum_qty", pa.float64())]),
+    ).materialize()
+    # the surviving orders are collected onto the driver and broadcast
+    # sorted by custkey; the customer fact table streams against them
+    candidates.guard_broadcast(
+        orders,
+        "large_volume_orders: the surviving orders",
+        "this threshold needs a larger min_qty",
+    )
+    # fallback schema = the orders _read column list + the attached
+    # sum_qty; keep in sync if either changes
     surv_parts = _collect_tables(orders) or [
         pa.table(
             {
@@ -3028,10 +2905,6 @@ def _tfidf_topk_join(docs, df_tbl, n_docs: int, k: int):
     shuffle to <= k rows per doc per batch, and a per-doc map_groups
     finisher applies the final (score desc, tok asc) top-k with the
     Python-rounded emit."""
-    import pyarrow.compute as pc
-
-    from clonehunter_ray.util import safe_join_partitions
-
     def tf_rows(batch: pa.Table) -> pa.Table:
         flat, parent = H.flat_tokens(batch["text"])
         if len(flat) == 0:
@@ -3101,9 +2974,7 @@ def _tfidf_topk_join(docs, df_tbl, n_docs: int, k: int):
     )
 
 
-def tfidf_top_terms_documents(
-    sf_dir: str, k: int = 3, vocab_broadcast_limit: int = 2_000_000
-):
+def tfidf_top_terms_documents(sf_dir: str, k: int = 3):
     """Top-k TF-IDF terms per document (dataset cartography / keyword
     extraction): score = tf * ln(n_docs / df), ties broken by token
     asc.
@@ -3112,9 +2983,10 @@ def tfidf_top_terms_documents(
     combiner as ``token_vocabulary_topk`` (per-batch DISTINCT tokens
     per doc -> one (token, partial_df) row per batch -> tiny groupby
     sum). Pass 2 dispatches on vocabulary size, exact either way:
-    below ``vocab_broadcast_limit`` distinct terms the sorted
-    (token, df) arrays broadcast once via ray.put and docs stream
-    through one stateless scoring pass; above it the full vocabulary
+    when the (token, df) table ``fits_broadcast`` (stages/candidates)
+    it becomes one token-sorted plasma table (``make_broadcast_handle``)
+    and docs stream through one stateless scoring pass that needs a
+    document's rows in one batch; above the cutover the full vocabulary
     never leaves the cluster — per-doc (doc_id, tok, tf) rows
     hash-partition-join the df table on tok, a per-batch local top-k
     combiner bounds what shuffles to the per-doc finisher (<= k rows
@@ -3122,9 +2994,7 @@ def tfidf_top_terms_documents(
     score arithmetic on both paths, so the oracle comparison and the
     broadcast/join parity test hold bit-exactly.
     """
-    import pyarrow.compute as pc
-
-    from clonehunter_ray.util import safe_join_partitions
+    from clonehunter_ray.stages import candidates
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
@@ -3155,24 +3025,11 @@ def tfidf_top_terms_documents(
         .aggregate(Sum("pdf", alias_name="df"))
         .materialize()
     )
-    if df_tbl.count() > vocab_broadcast_limit:
+    if not candidates.fits_broadcast(df_tbl)[0]:
         return _tfidf_topk_join(docs, df_tbl, n_docs, k)
-    # skip schema-less empty blocks (filter/map over empty input blocks
-    # emits zero-column tables that would break the concat)
-    parts = [
-        t for t in ray.get(df_tbl.to_arrow_refs()) if t.num_rows
-    ]
-    if not parts:
-        parts = [pa.table({"tok": pa.array([], pa.string()),
-                           "df": pa.array([], pa.int64())})]
-    df_all = pa.concat_tables(parts).combine_chunks()
-    toks = np.asarray(df_all["tok"].to_pylist(), dtype=object)
-    dfs = df_all["df"].to_numpy(zero_copy_only=False).astype(np.float64)
-    order = np.argsort(toks)
-    df_ref = ray.put((toks[order], dfs[order]))
+    handle = candidates.broadcast_blocks(df_tbl.to_arrow_refs(), ["tok", "df"], "tok")
 
     def score(batch: pa.Table) -> pa.Table:
-        vocab, df_sorted = ray.get(df_ref)
         flat, parent = H.flat_tokens(batch["text"])
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         if len(flat) == 0:
@@ -3183,6 +3040,11 @@ def tfidf_top_terms_documents(
                     "score6": pa.array([], pa.float64()),
                 }
             )
+        df_all, _ = candidates.get_broadcast_payload(handle, need_index=False)
+        vocab = df_all["tok"].to_numpy(zero_copy_only=False)
+        df_sorted = df_all["df"].to_numpy(zero_copy_only=False).astype(
+            np.float64
+        )
         rows, tok_ids, tf, dictionary = H.doc_token_pairs(flat, parent)
         tok_strs = np.asarray(dictionary.to_pylist(), dtype=object)[tok_ids]
         pos = np.searchsorted(vocab, tok_strs)
@@ -5308,12 +5170,7 @@ def lexical_diversity_by_source(sf_dir: str):
     )
 
 
-def pmi_top_bigrams(
-    sf_dir: str,
-    k: int = 50,
-    min_count: int = 5,
-    vocab_broadcast_limit: int = 2_000_000,
-):
+def pmi_top_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
     """Collocation mining: the top-k within-document adjacent token
     pairs by pointwise mutual information — pmi = ln((c12/N2) /
     ((c1/N1) * (c2/N1))) with c12 the corpus bigram count, c1/c2 the
@@ -5328,19 +5185,23 @@ def pmi_top_bigrams(
     corpus-bounded) and consumed by two tiny aggregate trees. Bigram
     counts reduce through groupby(w1, w2); the min_count filter prunes
     the hapax tail FIRST, so everything downstream is
-    candidate-bounded. Unigram counts reduce through groupby(w1);
-    below ``vocab_broadcast_limit`` the sorted (word, count) arrays
-    broadcast once via ray.put and candidates score in one stateless
-    pass; above it nothing vocab-sized leaves the cluster — candidates
-    hash-partition-join the unigram table on w1 then w2 (the
-    ``_tfidf_topk_join`` pattern), same arithmetic on both paths.
+    candidate-bounded. Unigram counts reduce through groupby(w1) and
+    attach onto both words of each candidate through
+    stages/candidates.attach_by_key — one word-sorted plasma table
+    when the vocabulary ``fits_broadcast``, else partitioned joins on
+    w1 then w2 so nothing vocab-sized leaves the cluster; same
+    arithmetic on both paths. The attach is a left one: a candidate
+    word missing from the unigram vocabulary means the two partial
+    kinds tokenized differently (corrupt PMI), and scoring raises on
+    it on either path.
     Final top-k: per-batch local top-k combiner, global sort+limit
     over the <= k x n_blocks survivor set. PMI rounds to 6 dp on both
     engines.
     """
     import pyarrow.compute as pc
 
-    from clonehunter_ray.util import safe_join, scrub_empty_blocks
+    from clonehunter_ray.stages.candidates import attach_by_key
+    from clonehunter_ray.util import scrub_empty_blocks
 
     part_schema = pa.schema(
         [
@@ -5422,9 +5283,8 @@ def pmi_top_bigrams(
         .sum("cnt")
     )
     # candidate-bounded: materialize once so the count gate below does
-    # not re-run the aggregation, and a globally-empty candidate set
-    # returns the empty result instead of feeding a zero-column block
-    # into the join path (util.safe_join's documented failure mode)
+    # not re-run the aggregation; a globally-empty candidate set
+    # returns the empty result up front
     cand = (
         scrub_empty_blocks(cand)
         .map_batches(keep_frequent, batch_format="pyarrow")
@@ -5435,8 +5295,8 @@ def pmi_top_bigrams(
     uni = (
         scrub_empty_blocks(parts.filter(expr="kind == 'u'"))
         .groupby("w1")
-        .sum("cnt")
-    ).materialize()
+        .aggregate(Sum("cnt", alias_name="cnt"))
+    )
 
     def _pmi(n12, c1, c2):
         return np.round(
@@ -5447,8 +5307,12 @@ def pmi_top_bigrams(
         w1 = np.asarray(batch["w1"].to_pylist(), dtype=object)
         w2 = np.asarray(batch["w2"].to_pylist(), dtype=object)
         n12 = batch["n12"].to_numpy(zero_copy_only=False).astype(np.float64)
-        c1 = batch["c1"].to_numpy(zero_copy_only=False).astype(np.float64)
-        c2 = batch["c2"].to_numpy(zero_copy_only=False).astype(np.float64)
+        if batch["w1_cnt"].null_count or batch["w2_cnt"].null_count:
+            raise ValueError(
+                "pmi_top_bigrams: bigram word absent from unigram vocab"
+            )
+        c1 = batch["w1_cnt"].to_numpy().astype(np.float64)
+        c2 = batch["w2_cnt"].to_numpy().astype(np.float64)
         s = _pmi(n12, c1, c2)
         keep = np.sort(np.lexsort((w2, w1, -s))[:k])
         return pa.table(
@@ -5461,77 +5325,12 @@ def pmi_top_bigrams(
             schema=out_schema,
         )
 
-    if uni.count() > vocab_broadcast_limit:
-        # corpus-scale path: the vocabulary never leaves the cluster —
-        # two partitioned hash joins attach c1 then c2 to the
-        # candidate-bounded bigram table
-        c1_tbl = scrub_empty_blocks(uni).map_batches(
-            lambda t: pa.table(
-                {"w1": t["w1"], "c1": t["sum(cnt)"].cast(pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-        c2_tbl = scrub_empty_blocks(uni).map_batches(
-            lambda t: pa.table(
-                {"w2": t["w1"], "c2": t["sum(cnt)"].cast(pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-        scored = safe_join(
-            safe_join(cand, c1_tbl, "inner", 16, on=("w1",)),
-            c2_tbl,
-            "inner",
-            16,
-            on=("w2",),
-        )
-        scored = scrub_empty_blocks(scored).map_batches(
-            local_top, batch_format="pyarrow"
-        )
-    else:
-        blocks = [
-            t
-            for t in ray.get(uni.to_arrow_refs())
-            if t.num_rows
-        ]
-        if not blocks:
-            return ray.data.from_arrow(out_schema.empty_table())
-        uni_all = pa.concat_tables(blocks).combine_chunks()
-        words = np.asarray(uni_all["w1"].to_pylist(), dtype=object)
-        counts = uni_all["sum(cnt)"].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        order = np.argsort(words)
-        uni_ref = ray.put((words[order], counts[order]))
-
-        def attach_counts(batch: pa.Table) -> pa.Table:
-            vocab, cv = ray.get(uni_ref)
-            w1 = np.asarray(batch["w1"].to_pylist(), dtype=object)
-            w2 = np.asarray(batch["w2"].to_pylist(), dtype=object)
-            i1 = np.searchsorted(vocab, w1)
-            i2 = np.searchsorted(vocab, w2)
-            # a candidate word missing from the unigram vocab means the
-            # two partial kinds tokenized differently — corrupt PMI;
-            # fail loudly instead of attaching a neighbor's count
-            if (
-                (i1 >= len(vocab)).any()
-                or (i2 >= len(vocab)).any()
-                or (vocab[np.minimum(i1, len(vocab) - 1)] != w1).any()
-                or (vocab[np.minimum(i2, len(vocab) - 1)] != w2).any()
-            ):
-                raise ValueError(
-                    "pmi_top_bigrams: bigram word absent from unigram vocab"
-                )
-            c1 = cv[i1]
-            c2 = cv[i2]
-            return batch.append_column(
-                "c1", pa.array(c1.astype(np.int64), pa.int64())
-            ).append_column(
-                "c2", pa.array(c2.astype(np.int64), pa.int64())
-            )
-
-        scored = cand.map_batches(
-            attach_counts, batch_format="pyarrow"
-        ).map_batches(local_top, batch_format="pyarrow")
+    scored = attach_by_key(
+        cand, uni, "w1", ["cnt"], on={"w1": "w1_", "w2": "w2_"}, how="left"
+    )
+    scored = scrub_empty_blocks(scored).map_batches(
+        local_top, batch_format="pyarrow"
+    )
 
     return scored.sort(
         ["pmi", "w1", "w2"], descending=[True, False, False]

@@ -240,11 +240,17 @@ def make_broadcast_handle(ds, cols: list[str], key_col: str = "snippet_id"):
     remote task (the payload never funnels through the driver — blocks
     stay in the object store; ``to_arrow_refs`` hands over refs) and
     return a handle for ``get_broadcast_payload``."""
+    return broadcast_blocks(ds.select_columns(cols).to_arrow_refs(), cols, key_col)
+
+
+def broadcast_blocks(block_refs, cols: list[str], key_col: str):
+    """``make_broadcast_handle`` over Arrow block refs already in the
+    object store (a materialized dataset's ``to_arrow_refs()`` costs no
+    execution; the combiner keeps only ``cols``)."""
     import uuid
 
     import ray
 
-    block_refs = ds.select_columns(cols).to_arrow_refs()
     # num_cpus=0: the combiner is memory-bound and must not be starved
     # behind the streaming executor's CPU reservation (observed: the
     # attach stage stalled ~100 s waiting for a 1-CPU combine task)
@@ -310,88 +316,152 @@ def fits_broadcast(ds) -> tuple[bool, int, int | None]:
     return nbytes <= BROADCAST_MAX_BYTES, rows, nbytes
 
 
+def guard_broadcast(ds, what: str, remedy: str) -> None:
+    """Raise ``ValueError`` (rows, bytes and the cutover, then
+    ``remedy``) when ``ds`` — about to be collected onto the driver —
+    does not ``fits_broadcast``."""
+    fits, rows, nbytes = fits_broadcast(ds)
+    if not fits:
+        raise ValueError(
+            f"{what} ({rows} rows, {nbytes} bytes) is over the broadcast "
+            f"cutover ({BROADCAST_MAX_ROWS} rows, {BROADCAST_MAX_BYTES} "
+            f"bytes); it is collected onto the driver, so {remedy}"
+        )
+
+
 def _attach_broadcast(
-    batch: pa.Table, handle, key: str, cols: list[str]
+    batch: pa.Table, table, key: str, cols: list[str], on: dict, how: str
 ) -> pa.Table:
-    """Broadcast side of ``attach_pair_payload``: the combined payload
-    is sorted by ``key`` (combine_payload_blocks), so each pair id is
-    found by binary search — no per-worker id->row dict, and ids
-    without a payload row drop out (inner-join semantics)."""
-    table, _ = get_broadcast_payload(handle, need_index=False)
+    """Broadcast side of ``attach_by_key``: ``table`` (a
+    ``broadcast_blocks`` handle, or a typed empty table) is sorted
+    by ``key`` (combine_payload_blocks), so each ``on`` value is found
+    by binary search — no per-worker key->row dict. ``inner`` drops a
+    row missing under any ``on`` column; ``left`` keeps it with nulls."""
+    if not isinstance(table, pa.Table):
+        table, _ = get_broadcast_payload(table, need_index=False)
     keys = table[key].to_numpy(zero_copy_only=False)
     found = np.ones(batch.num_rows, dtype=bool)
-    rows = {}
-    for side in ("a", "b"):
-        ids = batch[f"{side}_id"].to_numpy(zero_copy_only=False)
+    rows, hits = {}, {}
+    for col in on:
+        ids = batch[col].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(keys, ids)
         hit = pos < len(keys)
         hit[hit] = keys[pos[hit]] == ids[hit]
         found &= hit
-        rows[side] = pos
-    if not found.all():
+        rows[col], hits[col] = np.where(hit, pos, 0), hit
+    if how == "inner" and not found.all():
         sel = np.flatnonzero(found)
         batch = batch.take(pa.array(sel, pa.int64()))
-        rows = {s: r[sel] for s, r in rows.items()}
-    for side in ("a", "b"):
-        picked = table.take(pa.array(rows[side], pa.int64()))
+        rows = {c: r[sel] for c, r in rows.items()}
+        hits = {c: h[sel] for c, h in hits.items()}
+    for col, prefix in on.items():
+        picked = table.take(pa.array(rows[col], pa.int64(), mask=~hits[col]))
         for c in cols:
-            batch = batch.append_column(f"{side}_{c}", picked[c])
+            batch = batch.append_column(f"{prefix}{c}", picked[c])
     return batch
+
+
+def attach_by_key(
+    rows,
+    side,
+    key: str,
+    cols: list[str],
+    on,
+    how: str = "inner",
+    num_partitions: int = 16,
+    schema: pa.Schema | None = None,
+):
+    """Attach ``side``'s ``cols`` onto ``rows`` where a row's ``on``
+    column equals ``side``'s ``key`` (unique in ``side``). ``on`` is
+    one column name (``cols`` keep their names) or a ``{column:
+    prefix}`` dict: every listed column is looked up in the same side
+    and gets ``prefix + col`` outputs (``{"a_id": "a_", "b_id": "b_"}``
+    is the pair attach). ``how="inner"`` drops a row whose value is
+    missing from ``side`` under any ``on`` column, ``"left"`` keeps it
+    with nulls (an anti-join is ``left`` plus ``is_null``).
+
+    ``side`` is materialized and sized once: when it
+    ``fits_broadcast`` it is combined into one key-sorted plasma table
+    every worker maps zero-copy (``make_broadcast_handle``) and
+    ``rows`` stream through a binary-search probe; otherwise one
+    partitioned hash join per ``on`` column (``util.safe_join``, or
+    ``util.left_attach_or_nulls`` for ``left``). An empty ``side`` — or
+    empty ``rows`` on the join path, which Ray's hash join cannot take
+    (see util.left_attach_or_nulls) — gives a typed result without a
+    join. ``schema`` types the side's columns when Ray reports no
+    schema for an empty side (an aggregate over no rows)."""
+    import ray.data
+
+    from clonehunter_ray.util import left_attach_or_nulls, safe_join
+
+    on = {on: ""} if isinstance(on, str) else dict(on)
+    side = side.select_columns([key, *cols]).materialize()
+    fits, n_side, _ = fits_broadcast(side)
+    s = schema or side.schema()
+    types = dict(zip(s.names, s.types))
+    if fits or n_side == 0:
+        table = (
+            broadcast_blocks(side.to_arrow_refs(), [key, *cols], key)
+            if n_side
+            else pa.schema([(c, types[c]) for c in (key, *cols)]).empty_table()
+        )
+        return rows.map_batches(
+            _attach_broadcast,
+            fn_kwargs=dict(table=table, key=key, cols=cols, on=on, how=how),
+            batch_format="pyarrow",
+        )
+
+    rows = rows.materialize()
+    r = rows.schema()
+    if rows.count() == 0:
+        fields = (
+            list(zip(r.names, r.types))
+            if r is not None and r.names
+            else [(col, types[key]) for col in on]
+        )
+        fields += [(f"{p}{c}", types[c]) for p in on.values() for c in cols]
+        return ray.data.from_arrow(pa.schema(fields).empty_table())
+
+    row_types = dict(zip(r.names, r.types))
+    for col, prefix in on.items():
+        # the join needs equal key types on both sides (the probe
+        # compares int widths freely); outputs take their prefix here
+        def right_side(t, p=prefix, want=row_types[col]):
+            t = t.rename_columns([key, *(f"{p}{c}" for c in cols)])
+            return t.set_column(0, key, t[key].cast(want))
+
+        right = side.map_batches(right_side, batch_format="pyarrow")
+        if how == "inner":
+            rows = safe_join(
+                rows, right, "inner", num_partitions, on=(col,), right_on=(key,)
+            )
+        else:
+            rows = left_attach_or_nulls(
+                rows,
+                right,
+                num_partitions,
+                on=(col,),
+                right_on=(key,),
+                right_schema=pa.schema(
+                    [(f"{prefix}{c}", types[c]) for c in cols]
+                ),
+            )
+    return rows
 
 
 def attach_pair_payload(
     pairs, payload, key: str, cols: list[str], num_partitions: int
 ):
     """Pair rows (``a_id``, ``b_id``, ...) plus ``a_<col>`` and
-    ``b_<col>`` for every payload column, inner-join semantics on both
-    paths (a pair whose id has no ``payload`` row under ``key`` is
-    dropped). The payload is materialized and sized once; when
-    ``fits_broadcast`` it is combined into one plasma table every
-    worker maps zero-copy (``make_broadcast_handle``) and the pairs
-    stream through a map, otherwise two partitioned hash joins attach
-    each side. An empty pair set on the join path returns an empty
-    typed table (Ray's hash join crashes on a globally empty side, see
-    util.left_attach_or_nulls)."""
-    import ray.data
-
-    from clonehunter_ray.util import safe_join
-
-    payload = payload.materialize()
-    if fits_broadcast(payload)[0]:
-        handle = make_broadcast_handle(payload, [key, *cols], key_col=key)
-        return pairs.map_batches(
-            _attach_broadcast,
-            fn_kwargs={"handle": handle, "key": key, "cols": cols},
-            batch_format="pyarrow",
-        )
-
-    pairs = pairs.materialize()
-    if pairs.count() == 0:
-        p = payload.schema()
-        types = dict(zip(p.names, p.types))
-        s = pairs.schema()
-        fields = (
-            list(zip(s.names, s.types))
-            if s is not None and s.names
-            else [("a_id", types[key]), ("b_id", types[key])]
-        )
-        fields += [(f"{side}_{c}", types[c]) for side in "ab" for c in cols]
-        return ray.data.from_arrow(pa.schema(fields).empty_table())
-
-    def side(prefix: str):
-        return payload.select_columns([key, *cols]).map_batches(
-            lambda t: t.rename_columns(
-                [f"{prefix}_id", *(f"{prefix}_{c}" for c in cols)]
-            ),
-            batch_format="pyarrow",
-        )
-
-    return safe_join(
-        safe_join(pairs, side("a"), "inner", num_partitions, on=("a_id",)),
-        side("b"),
-        "inner",
-        num_partitions,
-        on=("b_id",),
+    ``b_<col>`` for every payload column, inner-join semantics: the
+    pair form of ``attach_by_key``."""
+    return attach_by_key(
+        pairs,
+        payload,
+        key,
+        cols,
+        on={"a_id": "a_", "b_id": "b_"},
+        num_partitions=num_partitions,
     )
 
 

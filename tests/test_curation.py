@@ -133,3 +133,39 @@ def test_curation_clean_corpus_passthrough(ray_session):
         num_partitions=4,
     ).to_pandas()
     assert sorted(out.doc_id.tolist()) == list(range(1, 9))
+
+
+def test_curation_join_path_matches_default(ray_session, monkeypatch, tmp_path):
+    """A corpus with exact duplicates (non-empty loser side): the
+    loser anti-join forced down the partitioned-join path keeps the
+    same documents as the broadcast probe, and both equal the oracle."""
+    if not os.path.exists(f"{SF_DIR}/documents.parquet"):
+        pytest.skip("testdata not present")
+    from clonehunter_ray.stages import candidates
+
+    docs = pq.read_table(f"{SF_DIR}/documents.parquet").replace_schema_metadata(None)
+    ids = docs["doc_id"].to_pylist()
+    copy_ids = [i for i in range(max(ids) + 1, max(ids) + 80) if i % 13][:40]
+    copies = docs.filter(
+        pa.array([i % 13 != 0 for i in ids])
+    ).slice(0, len(copy_ids))
+    copies = copies.set_column(0, "doc_id", pa.array(copy_ids, pa.int64()))
+    pq.write_table(pa.concat_tables([docs, copies]), str(tmp_path / "documents.parquet"))
+
+    def run() -> pd.DataFrame:
+        return (
+            curate_documents_pipeline(str(tmp_path))
+            .to_pandas()
+            .sort_values("doc_id")
+            .reset_index(drop=True)
+        )
+
+    bcast = run()
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+    joined = run()
+    pd.testing.assert_frame_equal(bcast, joined)
+    oracle = _oracle(str(tmp_path))
+    assert len(joined) == len(oracle)
+    for c in joined.columns:
+        assert (joined[c].values == oracle[c].values).all(), c
+    assert not set(copy_ids) & set(joined["doc_id"])

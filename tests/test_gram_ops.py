@@ -124,30 +124,32 @@ def test_frequent_gram_stats_vs_oracle(ray_session, con):
     )
 
 
-def test_pmi_join_path_matches_broadcast(ray_session):
+def test_pmi_join_path_matches_broadcast(ray_session, monkeypatch):
     import pandas as pd
 
     from clonehunter_ray.pipelines import queries as Q
+    from clonehunter_ray.stages import candidates
 
     b = Q.pmi_top_bigrams(SF_DIR).to_pandas()
-    # vocab_broadcast_limit=0 forces the partitioned-join path
-    j = Q.pmi_top_bigrams(SF_DIR, vocab_broadcast_limit=0).to_pandas()
+    # a zero-row broadcast cutover forces the partitioned-join path
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+    j = Q.pmi_top_bigrams(SF_DIR).to_pandas()
     key = ["w1", "w2"]
     b = b.sort_values(key).reset_index(drop=True)
     j = j.sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(b, j, check_like=True)
 
 
-def test_pmi_empty_candidates_both_paths(ray_session):
+def test_pmi_empty_candidates_both_paths(ray_session, monkeypatch):
     from clonehunter_ray.pipelines import queries as Q
+    from clonehunter_ray.stages import candidates
 
     # an unsatisfiable min_count must return the empty result on BOTH
     # dispatch paths (the join path once fed a zero-column block into
     # safe_join and crashed with ArrowInvalid)
     for limit in (2_000_000, 0):
-        r = Q.pmi_top_bigrams(
-            SF_DIR, min_count=10**9, vocab_broadcast_limit=limit
-        )
+        monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", limit)
+        r = Q.pmi_top_bigrams(SF_DIR, min_count=10**9)
         # uniform return type: empty paths must be a Dataset too, so
         # Dataset-only call sites never break on degenerate inputs
         import ray.data

@@ -67,3 +67,19 @@ def test_fuzzy_decontaminate_bench_side_guard(ray_session, monkeypatch):
     monkeypatch.setattr(candidates, "BROADCAST_MAX_BYTES", 1)
     with pytest.raises(ValueError, match="broadcast cutover"):
         Q.fuzzy_decontaminate_documents(SF_DIR)
+
+
+def test_zipf_vocabulary_guard(ray_session, monkeypatch):
+    """The driver-collected vocabulary is sized before the collect:
+    over the broadcast cutover the audit raises; at the default cutover
+    it still equals its oracle."""
+    if not os.path.exists(f"{SF_DIR}/documents.parquet"):
+        pytest.skip("testdata not present")
+    from clonehunter_ray.pipelines import queries as Q
+    from clonehunter_ray.stages import candidates
+    from tools.check_oracle import run_checks
+
+    assert not run_checks(SF_DIR, only=["zipf_token_audit"], verbose=False)
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 1)
+    with pytest.raises(ValueError, match=r"vocabulary \(\d+ rows, None bytes\)"):
+        Q.zipf_token_audit(SF_DIR)

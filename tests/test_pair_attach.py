@@ -1,8 +1,9 @@
-"""The one document pair path: ``dedup.band_pairs`` (band shuffle ->
-emit -> pair dedup) and ``stages/candidates.attach_pair_payload``
-(broadcast or partitioned join behind ``fits_broadcast``). Both sides
-of the size rule must give identical rows, with inner-join semantics
-and a typed empty result."""
+"""The one keyed attach, ``stages/candidates.attach_by_key`` (broadcast
+or partitioned join behind ``fits_broadcast``), its pair form
+``attach_pair_payload``, and the document pair path ``dedup.band_pairs``
+(band shuffle -> emit -> pair dedup). Both sides of the size rule must
+give identical rows, for inner and left attaches, with a typed result
+when a side is empty."""
 
 from __future__ import annotations
 
@@ -85,6 +86,112 @@ def test_attach_pair_payload_empty_join_path_is_typed(ray_session, monkeypatch):
         "a_blob": pa.binary(),
         "b_blob": pa.binary(),
     }
+
+
+def _both_paths(monkeypatch, attach) -> list:
+    """``attach()`` collected as sorted rows on the broadcast path,
+    then on the join path; the two must be identical."""
+
+    def rows():
+        t = attach().to_pandas()
+        t = t[sorted(t.columns)]
+        return sorted(
+            tuple(None if v is None or v != v else v for v in r)
+            for r in t.itertuples(index=False)
+        )
+
+    bcast = rows()
+    with monkeypatch.context() as m:
+        m.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+        joined = rows()
+    assert bcast == joined
+    return bcast
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_attach_by_key_int_key_paths_agree(ray_session, monkeypatch, how):
+    rows = pa.table(
+        {"k": pa.array([3, 1, 7, 1], pa.int64()), "v": ["a", "b", "c", "d"]}
+    )
+    side = pa.table(
+        {"key": pa.array([1, 2, 3], pa.int32()), "name": ["one", "two", "three"]}
+    )
+    got = _both_paths(
+        monkeypatch,
+        lambda: candidates.attach_by_key(
+            ray.data.from_arrow(rows),
+            ray.data.from_arrow(side),
+            "key",
+            ["name"],
+            on="k",
+            how=how,
+            num_partitions=2,
+        ),
+    )
+    want = [(1, "one", "b"), (1, "one", "d"), (3, "three", "a")]
+    if how == "left":
+        want.append((7, None, "c"))
+    assert got == sorted(want, key=lambda r: (r[0], str(r[1]), r[2]))
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+def test_attach_by_key_string_key_two_on_columns(ray_session, monkeypatch, how):
+    """Two ``on`` columns share one side and get prefixed outputs."""
+    rows = pa.table(
+        {"w1": ["the", "cat", "zzz", "sat"], "w2": ["cat", "sat", "the", "on"]}
+    )
+    side = pa.table(
+        {"w": ["cat", "on", "sat", "the"], "cnt": pa.array([4, 1, 2, 9], pa.int64())}
+    )
+    got = _both_paths(
+        monkeypatch,
+        lambda: candidates.attach_by_key(
+            ray.data.from_arrow(rows),
+            ray.data.from_arrow(side),
+            "w",
+            ["cnt"],
+            on={"w1": "x_", "w2": "y_"},
+            how=how,
+            num_partitions=2,
+        ),
+    )
+    # columns sorted: w1, w2, x_cnt, y_cnt
+    want = [("cat", "sat", 4, 2), ("sat", "on", 2, 1), ("the", "cat", 9, 4)]
+    if how == "left":
+        want.append(("zzz", "the", None, 9))
+    assert got == sorted(want)
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("max_rows", [2_000_000, 0])
+def test_attach_by_key_empty_side_is_typed(ray_session, monkeypatch, how, max_rows):
+    """An empty side gives a typed result on both paths: typed by Ray's
+    schema for a filter, by ``schema`` for an aggregate over no rows
+    (Ray reports no schema for it)."""
+    from ray.data.aggregate import Count
+
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", max_rows)
+    rows = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+    empty = ray.data.from_arrow(
+        pa.table({"key": pa.array([5], pa.int64()), "n": pa.array([7], pa.int32())})
+    ).filter(expr="key < 0")
+    sides = {
+        "filter": (empty, None, pa.int32()),
+        "aggregate": (
+            empty.groupby("key").aggregate(Count(alias_name="n")),
+            pa.schema([("key", pa.int64()), ("n", pa.int64())]),
+            pa.int64(),
+        ),
+    }
+    for side, schema, n_type in sides.values():
+        out = candidates.attach_by_key(
+            rows, side, "key", ["n"], on="k", how=how, num_partitions=2, schema=schema
+        ).materialize()
+        assert out.count() == (2 if how == "left" else 0)
+        if how == "left":
+            assert out.to_pandas()["n"].isna().all()
+        s = out.schema()
+        assert dict(zip(s.names, s.types)) == {"k": pa.int64(), "n": n_type}
 
 
 def test_minhash_dedup_pairs_identical_across_cutover(ray_session, monkeypatch):

@@ -305,17 +305,23 @@ def test_label_centroids_values(ray_session):
     assert np.allclose(got, np.round(want, 6), atol=1e-6)
 
 
-def test_revenue_by_nation_join_cutover_matches_broadcast(ray_session):
-    """Above customer_broadcast_limit the customer dimension attaches by
-    partitioned join instead of a driver-side dict; results identical."""
+def test_revenue_by_nation_join_cutover_matches_broadcast(
+    ray_session, monkeypatch
+):
+    """Above the broadcast cutover orders, customer and nation attach
+    by partitioned join instead of a plasma broadcast; results
+    identical."""
+    from clonehunter_ray.stages import candidates
+
     bc = (
         Q.revenue_by_nation(SF_DIR)
         .to_pandas()
         .sort_values("n_name")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     jn = (
-        Q.revenue_by_nation(SF_DIR, customer_broadcast_limit=0)
+        Q.revenue_by_nation(SF_DIR)
         .to_pandas()
         .sort_values("n_name")
         .reset_index(drop=True)
@@ -323,14 +329,71 @@ def test_revenue_by_nation_join_cutover_matches_broadcast(ray_session):
     pd.testing.assert_frame_equal(bc, jn)
 
 
-def test_shipping_priority_join_cutover_matches_broadcast(ray_session):
+@pytest.mark.parametrize(
+    "query", ["suppliers_per_region", "customers_without_orders"]
+)
+def test_dimension_attach_join_path_matches_default(
+    ray_session, monkeypatch, query
+):
+    """Every keyed attach of the query forced down the partitioned-join
+    path gives the default (broadcast) rows."""
+    from clonehunter_ray.stages import candidates
+
+    run = getattr(Q, query)
+    bc = _norm(run(SF_DIR).to_pandas())
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+    jn = _norm(run(SF_DIR).to_pandas())
+    assert len(bc) > 0
+    pd.testing.assert_frame_equal(bc, jn)
+
+
+def test_large_volume_orders_join_attach_matches_default(
+    ray_session, monkeypatch
+):
+    """The HAVING survivors attached onto orders by partitioned join
+    (the survivor collect after it left at the default cutover) give
+    the default rows."""
+    from clonehunter_ray.stages import candidates
+
+    bc = _norm(Q.large_volume_orders(SF_DIR, min_qty=220.0).to_pandas())
+    attach = candidates.attach_by_key
+
+    def join_attach(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+            return attach(*args, **kwargs)
+
+    monkeypatch.setattr(candidates, "attach_by_key", join_attach)
+    jn = _norm(Q.large_volume_orders(SF_DIR, min_qty=220.0).to_pandas())
+    assert len(bc) > 0
+    pd.testing.assert_frame_equal(bc, jn)
+
+
+def test_large_volume_orders_survivor_guard(ray_session, monkeypatch):
+    """The surviving orders are collected onto the driver: past the
+    broadcast cutover the query raises instead of collecting them."""
+    from clonehunter_ray.stages import candidates
+
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+    with pytest.raises(
+        ValueError, match=r"surviving orders \(\d+ rows, None bytes\) is over"
+    ):
+        Q.large_volume_orders(SF_DIR, min_qty=220.0)
+
+
+def test_shipping_priority_join_cutover_matches_broadcast(
+    ray_session, monkeypatch
+):
+    from clonehunter_ray.stages import candidates
+
     bc = (
         Q.shipping_priority_revenue(SF_DIR)
         .to_pandas()
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     jn = (
-        Q.shipping_priority_revenue(SF_DIR, customer_broadcast_limit=0)
+        Q.shipping_priority_revenue(SF_DIR)
         .to_pandas()
         .reset_index(drop=True)
     )
@@ -726,7 +789,7 @@ def test_length_quantiles_by_lang_keeps_null_lang_group(ray_session, tmp_path):
     )
 
 
-def test_tfidf_join_path_matches_broadcast(ray_session):
+def test_tfidf_join_path_matches_broadcast(ray_session, monkeypatch):
     """The corpus-scale partitioned-join tf-idf path (vocabulary never
     broadcast) must agree bit-for-bit with the broadcast path: same
     score arithmetic, same (score desc, tok asc) top-k tie-break,
@@ -738,8 +801,11 @@ def test_tfidf_join_path_matches_broadcast(ray_session):
         .sort_values(cols)
         .reset_index(drop=True)
     )
+    from clonehunter_ray.stages import candidates
+
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     joinp = (
-        Q.tfidf_top_terms_documents(SF_DIR, vocab_broadcast_limit=1)
+        Q.tfidf_top_terms_documents(SF_DIR)
         .to_pandas()[cols]
         .sort_values(cols)
         .reset_index(drop=True)
