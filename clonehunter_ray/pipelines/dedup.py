@@ -75,169 +75,6 @@ class DocSignatureStage:
         return pa.table(cols)
 
 
-def _explode_doc_bands_ids(batch: pa.Table) -> pa.Table:
-    """(doc_id, band_keys) -> (band_key, doc_id) rows — ids only; the
-    shingle payload never rides the band shuffle (x num_bands blow-up)."""
-    n = batch.num_rows
-    if n == 0:
-        return pa.table(
-            {
-                "band_key": pa.array([], pa.uint64()),
-                "doc_id": pa.array([], pa.int64()),
-            }
-        )
-    flat = batch["band_keys"].combine_chunks().flatten()
-    nb = len(flat) // n
-    ids = np.repeat(
-        batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64), nb
-    )
-    return pa.table({"band_key": flat, "doc_id": pa.array(ids)})
-
-
-def _emit_doc_pairs_partition(
-    partition: pa.Table,
-    max_bucket_pairs_full: int = 1024,
-    skew_mode: str = "salted",
-    salt_rounds: int = 6,
-    metrics=None,
-) -> pa.Table:
-    """One hash partition of band rows (many buckets) -> candidate doc
-    pairs, vectorized: buckets are runs of the sorted band_key. Hot
-    buckets emit the hub-spoke star (connectivity) plus, under
-    ``skew_mode="salted"``, salted re-band sub-bucket all-pairs (see
-    stages/candidates.salted_bucket_pairs_int) so spoke-spoke pairs
-    that collide in no other band are still recovered; every capped
-    emission carries ``capped=True`` for recall accounting."""
-    from clonehunter_ray.stages.candidates import salted_bucket_pairs_int
-
-    if skew_mode == "full":
-        max_bucket_pairs_full = 1 << 62
-    keys = partition["band_key"].to_numpy(zero_copy_only=False)
-    ids = partition["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((ids, keys))
-    keys, ids = keys[order], ids[order]
-    if len(keys):
-        keep = np.concatenate(
-            [[True], (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])]
-        )
-        keys, ids = keys[keep], ids[keep]
-    _, starts, counts = np.unique(keys, return_index=True, return_counts=True)
-    c_full = int((1 + (1 + 8 * max_bucket_pairs_full) ** 0.5) // 2)
-    a_parts: list[np.ndarray] = []
-    b_parts: list[np.ndarray] = []
-    c_parts: list[np.ndarray] = []
-    # size-grouped vectorized emission (see candidates.py:
-    # emit_pairs_partition_indexed) — one gather per distinct bucket
-    # size, no Python loop over buckets
-    multi = counts >= 2
-    for c in np.unique(counts[multi & (counts <= c_full)]):
-        sel = starts[counts == c]
-        m = ids[sel[:, None] + np.arange(c)[None, :]]
-        ii, jj = np.triu_indices(int(c), k=1)
-        a_parts.append(m[:, ii].ravel())
-        b_parts.append(m[:, jj].ravel())
-        c_parts.append(np.zeros(m.shape[0] * len(ii), dtype=bool))
-    n_capped = 0
-    full_pairs_capped = 0
-    for s, c in zip(starts[counts > c_full], counts[counts > c_full]):
-        bucket = ids[s : s + c]
-        n = len(bucket)
-        n_capped += 1
-        full_pairs_capped += n * (n - 1) // 2
-        a_parts.append(np.full(n - 1, bucket[0], dtype=np.int64))
-        b_parts.append(bucket[1:])
-        emitted = n - 1
-        if skew_mode == "salted":
-            sa, sb = salted_bucket_pairs_int(
-                bucket, max_bucket_pairs_full, salt_rounds
-            )
-            a_parts.append(np.asarray(sa, dtype=np.int64))
-            b_parts.append(np.asarray(sb, dtype=np.int64))
-            emitted += len(sa)
-        c_parts.append(np.ones(emitted, dtype=bool))
-    if metrics is not None and n_capped:
-        from clonehunter_ray.state.metrics import report_metrics
-
-        report_metrics(
-            metrics,
-            {
-                "lsh_buckets_capped": n_capped,
-                "lsh_capped_full_pairs": full_pairs_capped,
-            },
-        )
-    out_a = np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.int64)
-    out_b = np.concatenate(b_parts) if b_parts else np.empty(0, dtype=np.int64)
-    out_c = np.concatenate(c_parts) if c_parts else np.empty(0, dtype=bool)
-    return pa.table(
-        {
-            "a_id": pa.array(out_a, pa.int64()),
-            "b_id": pa.array(out_b, pa.int64()),
-            "capped": pa.array(out_c, pa.bool_()),
-        }
-    )
-
-
-_INT_PAIRS_SCHEMA = pa.schema(
-    [("a_id", pa.int64()), ("b_id", pa.int64()), ("capped", pa.bool_())]
-)
-
-
-def _dedupe_int_pairs_partition(partition: pa.Table) -> pa.Table:
-    if partition.num_rows == 0:
-        return _INT_PAIRS_SCHEMA.empty_table()
-    if "capped" not in partition.column_names:
-        partition = partition.append_column(
-            "capped", pa.array([False] * partition.num_rows, pa.bool_())
-        )
-    g = partition.group_by(["a_id", "b_id"], use_threads=False).aggregate(
-        [("capped", "any")]
-    )
-    return pa.table(
-        [g["a_id"], g["b_id"], g["capped_any"]], schema=_INT_PAIRS_SCHEMA
-    )
-
-
-def _part_column(t: pa.Table, key: np.ndarray, num_partitions: int) -> pa.Table:
-    part = (key.astype(np.uint64) % np.uint64(num_partitions)).astype(np.int64)
-    return t.append_column("part", pa.array(part, pa.int64()))
-
-
-def _pair_hash(t: pa.Table) -> np.ndarray:
-    a = t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    b = t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return a * np.uint64(0x9E3779B97F4A7C15) ^ b
-
-
-def band_pairs(
-    bands: "ray.data.Dataset", emit, num_partitions: int
-) -> "ray.data.Dataset":
-    """The document LSH pair shuffle, shared by every int-id near-dup
-    pipeline: exploded ``(band_key, doc_id[, side])`` rows are
-    partitioned by ``band_key % P`` and each partition goes through
-    ``emit`` (one partition table -> ``(a_id, b_id, capped)`` pairs;
-    buckets are runs of the sorted band key inside it), then the pairs
-    are partitioned by a hash of ``(a_id, b_id)`` and deduplicated, a
-    pair's ``capped`` flag being set when any of its emissions was
-    capped. Only int ids cross both shuffles; payloads attach after
-    (stages/candidates.attach_pair_payload)."""
-    return (
-        bands.map_batches(
-            lambda t: _part_column(
-                t, t["band_key"].to_numpy(zero_copy_only=False), num_partitions
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(emit, batch_format="pyarrow")
-        .map_batches(
-            lambda t: _part_column(t, _pair_hash(t), num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(_dedupe_int_pairs_partition, batch_format="pyarrow")
-    )
-
-
 def minhash_dedup_pairs(
     docs_ds: "ray.data.Dataset",
     threshold: float = 0.8,
@@ -252,12 +89,17 @@ def minhash_dedup_pairs(
     shuffle -> hash-partitioned vectorized pair generation (hot
     buckets: hub-spoke star + salted re-band, ``capped`` flag
     propagated to the output for recall accounting) -> pair dedup
-    (``band_pairs``) -> shingle payload attach
+    (stages/candidates.band_pairs) -> shingle payload attach
     (stages/candidates.attach_pair_payload: plasma broadcast when the
     signature table fits its one size rule, partitioned hash joins
     above) -> exact Jaccard verification in ``map_batches``.
     """
-    from clonehunter_ray.stages.candidates import attach_pair_payload
+    from clonehunter_ray.stages.candidates import (
+        attach_pair_payload,
+        band_pairs,
+        emit_pairs_partition,
+        explode_bands,
+    )
     from clonehunter_ray.util import auto_actor_pool
 
     config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
@@ -278,14 +120,15 @@ def minhash_dedup_pairs(
 
     pairs = band_pairs(
         sig.select_columns(["doc_id", "band_keys"]).map_batches(
-            _explode_doc_bands_ids, batch_format="pyarrow"
+            explode_bands, fn_kwargs={"id_col": "doc_id"}, batch_format="pyarrow"
         ),
-        lambda g: _emit_doc_pairs_partition(
+        lambda g: emit_pairs_partition(
             g,
+            "doc_id",
             max_bucket_pairs_full,
-            skew_mode=config.skew_mode,
-            salt_rounds=config.salt_rounds,
-            metrics=metrics,
+            config.skew_mode,
+            config.salt_rounds,
+            metrics,
         ),
         num_partitions,
     )
@@ -500,7 +343,10 @@ def simhash_dup_pairs(
     near-identical docs in the bucket (even the mass of its most common
     fingerprint, when the hub is not part of it) may lose their pairs.
     Pair-level recall inside the capped bucket is traded for bounded
-    memory, same contract as ``minhash_dedup_pairs``."""
+    memory, same contract as ``minhash_dedup_pairs``. The chunk buckets
+    go through the one LSH pair shuffle (stages/candidates.band_pairs
+    and emit_pairs_partition in ``star`` mode)."""
+    from clonehunter_ray.stages import candidates
     from clonehunter_ray.util import auto_actor_pool
 
     config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
@@ -513,116 +359,48 @@ def simhash_dup_pairs(
     ).select_columns(["doc_id", "simhash"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         sh = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        keys, out_ids, out_sh = [], [], []
-        for chunk in range(4):
-            part = (sh >> np.uint64(16 * chunk)) & np.uint64(0xFFFF)
-            keys.append(part.astype(np.uint64) | (np.uint64(chunk) << np.uint64(32)))
-            out_ids.append(ids)
-            out_sh.append(sh)
+        keys = [
+            ((sh >> np.uint64(16 * chunk)) & np.uint64(0xFFFF))
+            | (np.uint64(chunk) << np.uint64(32))
+            for chunk in range(4)
+        ]
+        rows = pa.array(np.tile(np.arange(batch.num_rows), 4))
         return pa.table(
             {
-                "chunk_key": pa.array(np.concatenate(keys), pa.uint64()),
-                "doc_id": pa.array(np.concatenate(out_ids), pa.int64()),
-                "simhash": pa.array(np.concatenate(out_sh), pa.uint64()),
+                "band_key": pa.array(np.concatenate(keys), pa.uint64()),
+                "doc_id": batch["doc_id"].take(rows),
+                "simhash": batch["simhash"].take(rows),
             }
         )
 
-    num_partitions = 64
-    bands = sig.map_batches(explode, batch_format="pyarrow").map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    t["chunk_key"].to_numpy(zero_copy_only=False)
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
+    def emit(partition: pa.Table) -> pa.Table:
+        """Bucket pairs (star from the min doc_id over the cap), each
+        hamming-verified against the partition's fingerprints."""
+        pairs = candidates.emit_pairs_partition(
+            partition, "doc_id", max_bucket_pairs, "star", 0
+        )
+        ids = partition["doc_id"].to_numpy(zero_copy_only=False)
+        sh = partition["simhash"].to_numpy(zero_copy_only=False)
+        order = np.argsort(ids, kind="stable")
+        ids, sh = ids[order], sh[order]
 
-    def emit_partition(partition: pa.Table) -> pa.Table:
-        """Buckets = runs of the sorted chunk_key; in-bucket hamming
-        verification is vectorized per bucket member (popcount table)."""
-        keys = partition["chunk_key"].to_numpy(zero_copy_only=False)
-        ids = partition["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        sh = partition["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.lexsort((ids, keys))
-        keys, ids, sh = keys[order], ids[order], sh[order]
-        _, starts, counts = np.unique(keys, return_index=True, return_counts=True)
-        a, b, d = [], [], []
-        for s, c in zip(starts[counts > 1], counts[counts > 1]):
-            bid = ids[s : s + c]
-            bsh = sh[s : s + c]
-            uniq_idx = np.unique(bid, return_index=True)[1]
-            bid, bsh = bid[uniq_idx], bsh[uniq_idx]
-            n = len(bid)
-            if n * (n - 1) // 2 > max_bucket_pairs:
-                # hot bucket: hub-spoke star from the min doc_id (bid
-                # is np.unique-sorted, so bid[0] is deterministic),
-                # hamming-verified — O(n) memory instead of O(n^2)
-                hams = H.hamming_distance_u64(
-                    np.full(n - 1, bsh[0], dtype=np.uint64), bsh[1:]
-                )
-                hits = np.nonzero(hams <= max_hamming)[0]
-                a.extend(int(bid[0]) for _ in hits)
-                b.extend(int(bid[1 + h]) for h in hits)
-                d.extend(int(hams[h]) for h in hits)
-                continue
-            for x in range(n - 1):
-                hams = H.hamming_distance_u64(
-                    np.full(n - x - 1, bsh[x], dtype=np.uint64),
-                    bsh[x + 1 :],
-                )
-                hits = np.nonzero(hams <= max_hamming)[0]
-                for h in hits:
-                    a.append(int(bid[x]))
-                    b.append(int(bid[x + 1 + h]))
-                    d.append(int(hams[h]))
+        def fp(col: str) -> np.ndarray:
+            pos = np.searchsorted(ids, pairs[col].to_numpy(zero_copy_only=False))
+            return sh[pos].astype(np.uint64)
+
+        hams = H.hamming_distance_u64(fp("a_id"), fp("b_id"))
+        hit = hams <= max_hamming
         return pa.table(
             {
-                "a_id": pa.array(a, pa.int64()),
-                "b_id": pa.array(b, pa.int64()),
-                "hamming": pa.array(d, pa.int32()),
+                "a_id": pairs["a_id"].filter(hit),
+                "b_id": pairs["b_id"].filter(hit),
+                "hamming": pa.array(hams[hit], pa.int32()),
             }
         )
 
-    pairs = bands.groupby("part").map_groups(emit_partition, batch_format="pyarrow")
-    return pairs.map_batches(
-        lambda t: t.append_column(
-            "dpart",
-            pa.array(
-                (
-                    (
-                        t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                        * np.uint64(0x9E3779B97F4A7C15)
-                        ^ t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    )
-                    % np.uint64(num_partitions)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    ).groupby("dpart").map_groups(_dedupe_simhash_pairs_partition, batch_format="pyarrow")
-
-
-_SIMHASH_PAIRS_SCHEMA = pa.schema(
-    [("a_id", pa.int64()), ("b_id", pa.int64()), ("hamming", pa.int32())]
-)
-
-
-def _dedupe_simhash_pairs_partition(t: pa.Table) -> pa.Table:
-    if t.num_rows == 0:
-        return _SIMHASH_PAIRS_SCHEMA.empty_table()
-    g = t.group_by(["a_id", "b_id"], use_threads=False).aggregate(
-        [("hamming", "min")]
-    )
-    return pa.table(
-        [g["a_id"], g["b_id"], g["hamming_min"]], schema=_SIMHASH_PAIRS_SCHEMA
+    return candidates.band_pairs(
+        sig.map_batches(explode, batch_format="pyarrow"), emit, num_partitions=64
     )
 
 

@@ -19,11 +19,12 @@ shuffles):
    tokens makes both docs select at least one identical gram, because
    the window of hashes inside the shared region is content-defined.
    The pass also emits each doc's token-hash blob for verification.
-2. candidate    — distinct (gram, doc_id) rows, hash-partitioned
+2. candidate    — distinct (gram, doc_id) rows through the one LSH
+   pair shuffle (stages/candidates.band_pairs): hash-partitioned
    groupby, per-bucket pair emission with the hub-spoke + salted
-   re-band cap of pipelines/dedup._emit_doc_pairs_partition (hot
-   grams = boilerplate; the cap keeps a 10M-doc license header from
-   emitting 10M^2 pairs while ``capped`` rides to the output).
+   re-band cap of stages/candidates.emit_pairs_partition (hot grams =
+   boilerplate; the cap keeps a 10M-doc license header from emitting
+   10M^2 pairs while ``capped`` rides to the output), pair dedup.
 3. verify       — token blobs attached by the attach every document
    pair pipeline shares, stages/candidates.attach_pair_payload (plasma
    broadcast when the fingerprint table fits its row-and-byte size
@@ -55,12 +56,18 @@ from clonehunter_ray.functions.substring import (
     matching_statistics,
     merge_intervals,
 )
+from clonehunter_ray.stages.candidates import (
+    attach_pair_payload,
+    band_pairs,
+    emit_pairs_partition,
+    explode_bands,
+)
 
 _FP_SCHEMA = pa.schema(
     [
         ("doc_id", pa.int64()),
         ("tokens", pa.binary()),
-        ("grams", pa.list_(pa.uint64())),
+        ("band_keys", pa.list_(pa.uint64())),  # the selected winnow grams
     ]
 )
 
@@ -112,30 +119,10 @@ def _fingerprint_batch(
         {
             "doc_id": batch["doc_id"].cast(pa.int64()),
             "tokens": pa.array(blobs, pa.binary()),
-            "grams": pa.array(grams, pa.list_(pa.uint64())),
+            "band_keys": pa.array(grams, pa.list_(pa.uint64())),
         },
         schema=_FP_SCHEMA,
     )
-
-
-def _explode_grams(batch: pa.Table) -> pa.Table:
-    import pyarrow.compute as pc
-
-    n = batch.num_rows
-    if n == 0:
-        return pa.table(
-            {
-                "band_key": pa.array([], pa.uint64()),
-                "doc_id": pa.array([], pa.int64()),
-            }
-        )
-    col = batch["grams"]
-    flat = pc.list_flatten(col)
-    parent = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
-    ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[
-        parent
-    ]
-    return pa.table({"band_key": flat, "doc_id": pa.array(ids, pa.int64())})
 
 
 def _verify_pair_batch(
@@ -189,11 +176,9 @@ def _winnow_params(
 
 def _span_pairs(sig, bands, emit, min_len: int, num_partitions: int):
     """Shared tail of the self-dedup and decontamination pipelines:
-    the gram shuffle (dedup.band_pairs), token blobs attached to the
-    deduped pairs (stages/candidates.attach_pair_payload), then the
-    exact matching-statistics span kernel per pair."""
-    from clonehunter_ray.pipelines.dedup import band_pairs
-    from clonehunter_ray.stages.candidates import attach_pair_payload
+    the gram shuffle (stages/candidates.band_pairs), token blobs
+    attached to the deduped pairs (stages/candidates.attach_pair_payload),
+    then the exact matching-statistics span kernel per pair."""
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -228,8 +213,6 @@ def passage_dup_span_pairs(
     token spans of b duplicated from a (span length >= ``min_len``
     tokens). Detection is exact for spans >= ``min_len`` up to the
     hot-gram cap (``capped`` column accounts for those buckets)."""
-    from clonehunter_ray.pipelines.dedup import _emit_doc_pairs_partition
-
     gram_len, window = _winnow_params(min_len, gram_len, window)
     sig = docs_ds.map_batches(
         lambda t: _fingerprint_batch(t, gram_len, window),
@@ -240,10 +223,12 @@ def passage_dup_span_pairs(
 
     return _span_pairs(
         sig,
-        sig.select_columns(["doc_id", "grams"]).map_batches(
-            _explode_grams, batch_format="pyarrow"
+        sig.select_columns(["doc_id", "band_keys"]).map_batches(
+            explode_bands, fn_kwargs={"id_col": "doc_id"}, batch_format="pyarrow"
         ),
-        lambda g: _emit_doc_pairs_partition(g, max_bucket_pairs_full),
+        lambda g: emit_pairs_partition(
+            g, "doc_id", max_bucket_pairs_full, "salted", 6
+        ),
         min_len,
         num_partitions,
     )
@@ -598,6 +583,11 @@ def passage_dup_stats_documents(
 # ---------------------------------------------------------------------------
 
 
+_CANDIDATE_SCHEMA = pa.schema(
+    [("a_id", pa.int64()), ("b_id", pa.int64()), ("capped", pa.bool_())]
+)
+
+
 def _emit_cross_side_pairs_partition(
     partition: pa.Table,
     max_bucket_pairs: int = 1024,
@@ -615,10 +605,8 @@ def _emit_cross_side_pairs_partition(
     >= min_len span emits no row, so the accounting is per surviving
     pair, not per bucket. Only buckets containing BOTH sides are
     walked, so the Python loop touches contaminated grams only."""
-    from clonehunter_ray.pipelines.dedup import _INT_PAIRS_SCHEMA
-
     if partition.num_rows == 0:
-        return _INT_PAIRS_SCHEMA.empty_table()
+        return _CANDIDATE_SCHEMA.empty_table()
     keys = partition["band_key"].to_numpy(zero_copy_only=False)
     ids = partition["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     side = partition["side"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -654,14 +642,14 @@ def _emit_cross_side_pairs_partition(
             b_parts.append(np.tile(train, hubs.size))
             c_parts.append(np.ones(hubs.size * train.size, dtype=bool))
     if not a_parts:
-        return _INT_PAIRS_SCHEMA.empty_table()
+        return _CANDIDATE_SCHEMA.empty_table()
     return pa.table(
         {
             "a_id": pa.array(np.concatenate(a_parts), pa.int64()),
             "b_id": pa.array(np.concatenate(b_parts), pa.int64()),
             "capped": pa.array(np.concatenate(c_parts), pa.bool_()),
         },
-        schema=_INT_PAIRS_SCHEMA,
+        schema=_CANDIDATE_SCHEMA,
     )
 
 
@@ -715,18 +703,14 @@ def passage_decontaminate_spans(
     def explode_side(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        base = _explode_grams(batch)
-        parent = pc.list_parent_indices(batch["grams"]).to_numpy(
-            zero_copy_only=False
+        parent = pc.list_parent_indices(batch["band_keys"])
+        return explode_bands(batch, "doc_id").append_column(
+            "side", batch["side"].take(parent)
         )
-        sides = (
-            batch["side"].to_numpy(zero_copy_only=False).astype(np.int64)[parent]
-        )
-        return base.append_column("side", pa.array(sides, pa.int8()))
 
     pairs = _span_pairs(
         sig,
-        sig.select_columns(["doc_id", "grams", "side"]).map_batches(
+        sig.select_columns(["doc_id", "band_keys", "side"]).map_batches(
             explode_side, batch_format="pyarrow"
         ),
         lambda g: _emit_cross_side_pairs_partition(g, max_bucket_pairs),

@@ -195,7 +195,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.6, max_id: int = 500):
     Pipeline shape is minhash_dedup_pairs' (the engine's one document
     pair path): ids-only (band_key:u64, doc_id:i64) band explode — the
     token payload NEVER rides the x64-band shuffle — then
-    dedup.band_pairs (hash-partitioned vectorized pair emit + pair
+    stages/candidates.band_pairs (hash-partitioned vectorized pair emit + pair
     dedup, P partition UDF calls, not one per bucket/pair), then the
     token-hash payload attached by stages/candidates.attach_pair_payload
     (plasma broadcast or partitioned joins, its size rule) and exact
@@ -203,12 +203,12 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.6, max_id: int = 500):
     buckets emit ALL pairs (no hub-spoke cap); the capped/salted scale
     path is pipelines/dedup.py:minhash_dedup_pairs.
     """
-    from clonehunter_ray.pipelines.dedup import (
-        _emit_doc_pairs_partition,
-        _explode_doc_bands_ids,
+    from clonehunter_ray.stages.candidates import (
+        attach_pair_payload,
         band_pairs,
+        emit_pairs_partition,
+        explode_bands,
     )
-    from clonehunter_ray.stages.candidates import attach_pair_payload
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"]).filter(
         expr=f"doc_id < {max_id}"
@@ -232,10 +232,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.6, max_id: int = 500):
     sig = docs.map_batches(signatures, batch_format="pyarrow").materialize()
     pairs = band_pairs(
         sig.select_columns(["doc_id", "band_keys"]).map_batches(
-            _explode_doc_bands_ids, batch_format="pyarrow"
+            explode_bands, fn_kwargs={"id_col": "doc_id"}, batch_format="pyarrow"
         ),
-        # full emission (cap -> maxint): SQL-equality demands every pair
-        lambda g: _emit_doc_pairs_partition(g, max_bucket_pairs_full=1 << 30),
+        # full emission: SQL-equality demands every pair
+        lambda g: emit_pairs_partition(g, "doc_id", 0, "full", 0),
         num_partitions,
     )
     return attach_pair_payload(

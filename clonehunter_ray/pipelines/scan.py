@@ -9,10 +9,17 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       -> map_batches(generate_snippets)       # flat-map, stateless
       -> map_batches(SignatureStage, actors)  # stateful actor pool
       [checkpoint: signatures]
-      -> map_batches(explode_bands)           # 1 row -> num_bands rows
-      -> groupby(band_key).map_groups(emit_pairs)     # THE shuffle
-      -> groupby(a_id,b_id).map_groups(first)          # pair dedup
-      -> join(signatures as a_*) -> join(signatures as b_*)
+      -- signatures fit the broadcast cutover (the default path):
+      -> broadcast payload table (one plasma table, sid = row index)
+      -> map_batches(explode_bands_packed)    # (part, band keys, sids) blobs
+      -> groupby(part).map_groups(emit)       # THE shuffle: bucket pairs
+      -> map_batches(pre_gate_pairs_indexed)  # size/kind upper-bound mask
+      -> dedupe_pairs                         # (a,b) hash partition + group_by
+      -> map_batches(take payloads by sid)
+      -- above it (string ids, partitioned joins):
+      -> band_pairs(explode_bands)            # band shuffle + emit + dedupe
+      -> join(narrow a_*, b_*) -> pre_gate_pairs_joined
+      -> join(payload a_*) -> join(payload b_*)
       -> map_batches(verify_pairs)            # exact Jaccard + filters
       [checkpoint: pairs]
       -> groupby(pair_key).map_groups(rollup) # finding aggregation
@@ -33,9 +40,8 @@ import ray.data
 from clonehunter_ray.config import EngineConfig
 from clonehunter_ray.stages import clustering as C
 from clonehunter_ray.stages.candidates import (
-    add_pair_partition_column,
-    add_partition_column,
-    dedupe_pairs_partition,
+    band_pairs,
+    dedupe_pairs,
     emit_pairs_partition,
     explode_bands,
 )
@@ -256,31 +262,21 @@ def build_pairs(
         )
 
     # scale path: string ids + partitioned hash joins
-    bands = (
-        signatures.select_columns(["snippet_id", "band_keys"])
-        .map_batches(explode_bands, batch_format="pyarrow")
-        .map_batches(
-            add_partition_column,
-            fn_kwargs={"num_partitions": nparts},
+    deduped = band_pairs(
+        signatures.select_columns(["snippet_id", "band_keys"]).map_batches(
+            explode_bands,
+            fn_kwargs={"id_col": "snippet_id"},
             batch_format="pyarrow",
-        )
-    )
-    candidates = bands.groupby("part").map_groups(
+        ),
         lambda g: emit_pairs_partition(
             g,
+            "snippet_id",
             cap,
-            skew_mode=config.signature.skew_mode,
-            salt_rounds=config.signature.salt_rounds,
-            metrics=metrics,
+            config.signature.skew_mode,
+            config.signature.salt_rounds,
+            metrics,
         ),
-        batch_format="pyarrow",
-    )
-    deduped = candidates.map_batches(
-        add_pair_partition_column,
-        fn_kwargs={"num_partitions": nparts},
-        batch_format="pyarrow",
-    ).groupby("part").map_groups(
-        dedupe_pairs_partition, batch_format="pyarrow"
+        nparts,
     )
 
     # narrow pre-gate joins (kind + sizes only, ~20 bytes/row) so the
@@ -408,11 +404,9 @@ def _pairs_broadcast(
     it per broadcast key (plasma reads are zero-copy; concat_tables
     only chains chunk references).
     """
-    import numpy as np
     import pyarrow as pa
 
     from clonehunter_ray.stages.candidates import (
-        dedupe_pairs_partition_indexed,
         emit_pairs_packed_partition,
         explode_bands_packed,
         make_broadcast_handle,
@@ -473,34 +467,14 @@ def _pairs_broadcast(
         },
         batch_format="pyarrow",
     )
-    deduped = candidates.map_batches(
-        lambda t: t.append_column(
-            "part",
-            pa.array(
-                (
-                    (
-                        t["a_sid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                        * np.uint64(0x9E3779B97F4A7C15)
-                        ^ t["b_sid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    )
-                    % np.uint64(nparts)
-                ).astype(np.int64),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    ).groupby("part").map_groups(
-        dedupe_pairs_partition_indexed, batch_format="pyarrow"
-    )
+    deduped = dedupe_pairs(candidates, nparts)
 
     def _attach(batch: pa.Table) -> pa.Table:
         from clonehunter_ray.stages.candidates import get_broadcast_payload
 
         table, _idx = get_broadcast_payload(ref, need_index=False)
-        a_idx = batch["a_sid"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b_idx = batch["b_sid"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a_side = table.take(pa.array(a_idx, pa.int64()))
-        b_side = table.take(pa.array(b_idx, pa.int64()))
+        a_side = table.take(batch["a_id"])
+        b_side = table.take(batch["b_id"])
         cols: dict[str, pa.Array] = {
             "a_id": a_side["snippet_id"],
             "b_id": b_side["snippet_id"],
@@ -703,11 +677,23 @@ def scan(
                 clustering.update(
                     ckpt.read_lineage(root, "clusters")["clustering"]
                 )
+        if config.cluster.min_size > 1:
+            findings = C.filter_min_cluster_size(
+                findings, config.cluster.min_size
+            )
+            # the reported findings count must agree with the RETURNED
+            # dataset (and the CLI's finding_count), not the pre-filter
+            # edge count; so must n_clusters and cluster_map (a cluster
+            # whose findings were all filtered out must not survive in
+            # the stats or the map), which are rebuilt below
+            n_findings = findings.count()
+            cluster_map.clear()
         if clustering["path"] == "driver":
             if not cluster_map:
-                # resumed from the clusters checkpoint: rebuild the
-                # unit->cluster map from the labelled table (driver
-                # path: at most DRIVER_MAX_EDGES rows)
+                # resumed from the clusters checkpoint, or min-size
+                # filtered: rebuild the unit->cluster map from the
+                # labelled table (driver path: at most DRIVER_MAX_EDGES
+                # rows)
                 for r in findings.select_columns(
                     ["unit_a", "unit_b", "cluster_id"]
                 ).take_all():
@@ -721,23 +707,6 @@ def scan(
                 .count()
                 .count()
             )
-        if config.cluster.min_size > 1:
-            findings = C.filter_min_cluster_size(
-                findings, config.cluster.min_size
-            )
-            # the reported findings count must agree with the RETURNED
-            # dataset (and the CLI's finding_count), not the pre-filter
-            # edge count
-            n_findings = findings.count()
-            # ...and so must n_clusters and cluster_map: a cluster
-            # whose findings were all filtered out must not survive in
-            # the stats or the map (dangling ids downstream)
-            surviving = set(findings.unique("cluster_id"))
-            n_clusters = len(surviving)
-            if cluster_map:
-                cluster_map = {
-                    u: c for u, c in cluster_map.items() if c in surviving
-                }
     timing["clustering"] = round(time.monotonic() - t0, 3)
     timing["total"] = round(time.monotonic() - t_start, 3)
     if _log:

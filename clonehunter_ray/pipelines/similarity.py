@@ -245,6 +245,7 @@ def embedding_near_dup_pairs(
     payload through the exchange); each bucket group attaches its rows
     zero-copy and verifies with one Gram matmul."""
     from clonehunter_ray.stages.candidates import (
+        dedupe_pairs,
         get_broadcast_payload,
         make_broadcast_handle,
     )
@@ -335,33 +336,10 @@ def embedding_near_dup_pairs(
             schema=_PAIRS_SCHEMA,
         )
 
-    pairs = bands.groupby("bucket").map_groups(emit, batch_format="pyarrow")
-    # cross-bucket pair dedup, partitioned (per-pair map_groups would
-    # pay group-UDF overhead per emitted pair)
-    nparts = 32
-
-    def add_part(t: pa.Table) -> pa.Table:
-        a = t["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        part = ((a * np.uint64(0x9E3779B97F4A7C15) ^ b) % np.uint64(nparts)).astype(
-            np.int64
-        )
-        return t.append_column("part", pa.array(part, pa.int64()))
-
-    def dedupe(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PAIRS_SCHEMA.empty_table()
-        out = (
-            t.select(["a_id", "b_id", "cos5"])
-            .to_pandas()
-            .drop_duplicates(["a_id", "b_id"])
-        )
-        return pa.Table.from_pandas(out, preserve_index=False).cast(_PAIRS_SCHEMA)
-
-    return (
-        pairs.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(dedupe, batch_format="pyarrow")
+    # cross-bucket pair dedup: a pair colliding in several bit-flip
+    # buckets comes out once (stages/candidates.dedupe_pairs)
+    return dedupe_pairs(
+        bands.groupby("bucket").map_groups(emit, batch_format="pyarrow"), 32
     )
 
 

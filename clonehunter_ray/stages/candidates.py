@@ -1,169 +1,185 @@
-"""Candidate generation: the LSH band shuffle.
+"""Candidate generation: the LSH band shuffle, and the payload attaches
+that follow it.
 
 This dissolves the reference's O(N^2/P)-per-worker k-NN self-join
 (reference similarity/candidates.py:117-164, where every worker rebuilt
-the FULL vector index) into the one wide dependency of the pipeline:
+the FULL vector index) into the one wide dependency of every LSH
+pipeline, built from four pieces shared by the scan (both paths), the
+document pipelines, SimHash and embedding LSH:
 
-    signatures --explode--> bands(band_key, snippet_id)
-               --groupby(band_key)--> map_groups(emit_pairs)
+    explode_bands         (id, band_keys) -> (band_key, id) rows
+    band_pairs            band_key % P partition -> emit per partition
+                          -> dedupe_pairs
+    emit_pairs_partition  buckets = runs of the sorted band_key; every
+                          bucket's pairs a < b, hot buckets capped
+    dedupe_pairs          (a_id, b_id) hash partition -> one Arrow
+                          group_by per partition
 
-Two snippets become a candidate pair iff they share at least one LSH
-band hash; with band_rows=4, num_bands=32 the detection probability at
+Two items become a candidate pair iff they share at least one LSH band
+hash; with band_rows=4, num_bands=32 the detection probability at
 Jaccard j is 1-(1-j^4)^32 (>=0.9998 at j=0.7), which is what makes the
 pipeline "exact-recall" at the verification thresholds.
 
 Skew handling (north_rule): a bucket whose pair count would exceed
 ``max_bucket_pairs_full`` emits a star (every member paired with the
-min snippet_id) instead of all O(n^2) pairs — connectivity within a
-genuine clone family is preserved for clustering, and the ``capped``
+bucket's smallest id) instead of all O(n^2) pairs — connectivity within
+a genuine clone family is preserved for clustering, and the ``capped``
 flag on emitted pairs keeps recall accounting honest. Hot buckets come
 from boilerplate shingles (license headers etc.), the analogue of
 stop-shingle handling.
+
+Payloads never ride the band shuffle: pairs carry ids only, and the
+payload columns attach afterwards (``attach_pair_payload``, broadcast
+or partitioned join behind the one ``fits_broadcast`` rule).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-BANDS_SCHEMA = pa.schema(
-    [
-        ("band_key", pa.uint64()),
-        ("snippet_id", pa.string()),
-    ]
-)
+from clonehunter_ray.functions.hashing import _mix64
 
 
-def explode_bands(batch: pa.Table) -> pa.Table:
-    """signatures batch -> (band_key, snippet_id) rows, one per band.
-
-    Zero-copy-ish: flattens the fixed-width ``band_keys`` list column
-    and repeats ids with numpy.
-    """
-    n = batch.num_rows
-    if n == 0:
-        return pa.Table.from_pydict(
-            {"band_key": [], "snippet_id": []}, schema=BANDS_SCHEMA
-        )
-    band_col = batch["band_keys"].combine_chunks()
-    flat = band_col.flatten()
-    num_bands = len(flat) // n
-    ids = batch["snippet_id"].to_pylist()
-    rep_ids = pa.array(np.repeat(np.asarray(ids, dtype=object), num_bands))
-    return pa.Table.from_arrays([flat, rep_ids], schema=BANDS_SCHEMA)
+def explode_bands(batch: pa.Table, id_col: str) -> pa.Table:
+    """``(id_col, band_keys)`` batch -> ``(band_key, id_col)`` rows, one
+    per band: the flattened ``band_keys`` list column beside an Arrow
+    ``take`` of the ids on their repeated row indices (any id type)."""
+    bands = batch["band_keys"]
+    return pa.table(
+        {
+            "band_key": pc.list_flatten(bands),
+            id_col: batch[id_col].take(pc.list_parent_indices(bands)),
+        }
+    )
 
 
-def _bucket_pairs(
-    ids: list[str], max_bucket_pairs_full: int
-) -> tuple[list[str], list[str], bool]:
-    n = len(ids)
-    out_a: list[str] = []
-    out_b: list[str] = []
-    capped = False
-    if n >= 2:
-        if n * (n - 1) // 2 <= max_bucket_pairs_full:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-        else:
-            capped = True
-            hub = ids[0]
-            for other in ids[1:]:
-                out_a.append(hub)
-                out_b.append(other)
-    return out_a, out_b, capped
-
-
-def add_partition_column(batch: pa.Table, num_partitions: int) -> pa.Table:
-    """Add ``part = band_key % P`` — the explicit shuffle key. Grouping
-    by the coarse partition (P groups instead of millions of buckets)
-    turns the per-bucket UDF overhead into one vectorized pass per
-    partition; skew within a partition stays bounded because hot
-    *buckets* are still capped individually."""
-    import numpy as np
-
-    keys = batch["band_key"].to_numpy(zero_copy_only=False)
-    part = (keys % np.uint64(num_partitions)).astype(np.int64)
-    return batch.append_column("part", pa.array(part, pa.int64()))
-
-
-def _salted_bucket_pairs_str(
-    bucket_ids: list[str], cap: int, rounds: int, salt_seed: int = 0x5A17ED
-) -> tuple[list[str], list[str]]:
-    """String-id twin of ``salted_bucket_pairs_int`` (crc32 sub-bucket
-    hash — deterministic across processes, unlike builtin hash())."""
-    import zlib
-
-    n = len(bucket_ids)
-    m = max(2, int((2 * cap) ** 0.5))
+def salted_bucket_pairs_int(
+    bucket: np.ndarray,
+    cap: int,
+    rounds: int,
+    salt_seed: int = 0x5A17ED,
+) -> tuple[list[int], list[int]]:
+    """Salted re-band for one hot bucket (north_rule skew handling):
+    each round hashes the members into B sub-buckets sized so a
+    sub-bucket's all-pairs emission stays under ``cap``, then emits all
+    pairs within every sub-bucket. A non-hub pair co-occurs in a round
+    with probability ~1/B, so coverage after R rounds is 1-(1-1/B)^R
+    (e.g. B=2, R=8: 99.6%); for genuinely huge buckets (B large) the
+    residual loss is what the capped-pair metrics account for — full
+    O(n^2) emission there is infeasible by construction, not a bug.
+    Deterministic: salts derive from (salt_seed, round), never from
+    process state."""
+    n = len(bucket)
+    m = max(2, int((2 * cap) ** 0.5))  # sub-bucket size target
     n_sub = max(2, -(-n // m))
-    out_a: list[str] = []
-    out_b: list[str] = []
-    if n_sub > rounds:  # see salted_bucket_pairs_int: coverage ~R/B
+    out_a: list[int] = []
+    out_b: list[int] = []
+    if n_sub > rounds:
+        # pathological mega-bucket (boilerplate): pair coverage after R
+        # rounds is ~R/B which is negligible here, so the emissions
+        # would be pure cost — star-only, with the loss accounted in
+        # lsh_capped_full_pairs (measured: 29 such buckets at 60k files
+        # emitted ~1M salted pairs for 17% coverage of junk pairs)
         return out_a, out_b
+    ids_u = bucket.astype(np.uint64)
     for r in range(rounds):
-        subs: dict[int, list[str]] = {}
-        for sid in bucket_ids:
-            h = zlib.crc32(f"{salt_seed + r}:{sid}".encode()) % n_sub
-            subs.setdefault(h, []).append(sid)
-        for members in subs.values():
-            if len(members) < 2:
-                continue
-            members = sorted(members)
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    out_a.append(members[i])
-                    out_b.append(members[j])
+        salt = np.uint64((salt_seed + r * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+        sub = (_mix64(ids_u ^ salt) % np.uint64(n_sub)).astype(np.int64)
+        order = np.argsort(sub, kind="stable")
+        s_sub, s_ids = sub[order], bucket[order]
+        _, starts, counts = np.unique(s_sub, return_index=True, return_counts=True)
+        for s, c in zip(starts[counts > 1], counts[counts > 1]):
+            members = np.sort(s_ids[s : s + c])
+            ii, jj = np.triu_indices(len(members), k=1)
+            out_a.extend(members[ii].tolist())
+            out_b.extend(members[jj].tolist())
     return out_a, out_b
 
 
 def emit_pairs_partition(
     partition: pa.Table,
-    max_bucket_pairs_full: int = 256,
-    skew_mode: str = "star",
-    salt_rounds: int = 6,
+    id_col: str,
+    max_bucket_pairs_full: int,
+    skew_mode: str,
+    salt_rounds: int,
     metrics=None,
 ) -> pa.Table:
-    """One hash partition of band rows (MANY buckets) -> candidate
-    pairs. Buckets are detected as runs of the sorted band_key with
-    numpy (vectorized); only multi-member buckets touch Python. Skew
-    handling matches ``emit_pairs_partition_indexed``."""
-    import numpy as np
+    """One hash partition of ``(band_key, id_col)`` rows (many buckets)
+    -> ``(a_id, b_id, capped)`` candidate pairs with ``a_id < b_id``,
+    ids keeping ``id_col``'s type. Buckets are runs of the sorted
+    band_key; emission is fully vectorized (np.unique + one triu
+    gather per distinct bucket size). String ids are ranked on the
+    partition's sorted unique ids, the int algorithm runs on the ranks
+    and the pairs map back with ``take``, so order and hub agree with
+    the int case.
 
+    Hot buckets (pair count over ``max_bucket_pairs_full``): always
+    emit the hub-spoke star from the smallest id (cluster
+    connectivity), and under ``skew_mode="salted"`` also the salted
+    re-band pairs so non-hub pairs are recovered (``salt_rounds``
+    rounds; the salt hashes the int id or the string's partition rank);
+    ``skew_mode="full"`` disables the cap. Bucket counts, capped-bucket
+    counts and the full-emission pair estimate go to the run's metrics
+    actor."""
     if skew_mode == "full":
         max_bucket_pairs_full = 1 << 62
     keys = partition["band_key"].to_numpy(zero_copy_only=False)
-    ids = np.asarray(partition["snippet_id"].to_pylist(), dtype=object)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    ids = ids[order]
+    id_arr = partition[id_col]
+    ranked = not pa.types.is_integer(id_arr.type)
+    if ranked:
+        uniq = pc.unique(id_arr)
+        uniq = uniq.take(pc.sort_indices(uniq))
+        id_arr = pc.index_in(id_arr, value_set=uniq)
+    ids = id_arr.to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((ids, keys))
+    keys, ids = keys[order], ids[order]
+    if len(keys):
+        # drop duplicate (key, id) rows so run length == member count
+        keep = np.concatenate(
+            [[True], (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])]
+        )
+        keys, ids = keys[keep], ids[keep]
     _, starts, counts = np.unique(keys, return_index=True, return_counts=True)
-    out_a: list[str] = []
-    out_b: list[str] = []
-    out_c: list[bool] = []
-    n_buckets = 0
+    # members allowed for full emission: c(c-1)/2 <= cap
+    c_full = int((1 + (1 + 8 * max_bucket_pairs_full) ** 0.5) // 2)
+    a_parts: list[np.ndarray] = []
+    b_parts: list[np.ndarray] = []
+    c_parts: list[np.ndarray] = []
+    # same-size buckets share one triu pattern: ONE gather + fancy
+    # index per distinct size instead of a Python loop over millions of
+    # buckets (measured 49 s of UDF CPU at 60k files the loop way)
+    multi = counts >= 2
+    n_buckets = int(multi.sum())
+    for c in np.unique(counts[multi & (counts <= c_full)]):
+        sel = starts[counts == c]
+        m = ids[sel[:, None] + np.arange(c)[None, :]]  # (k, c) members
+        ii, jj = np.triu_indices(int(c), k=1)
+        a_parts.append(m[:, ii].ravel())
+        b_parts.append(m[:, jj].ravel())
+        c_parts.append(np.zeros(m.shape[0] * len(ii), dtype=bool))
+    # hot buckets (rare): hub-spoke star + optional salted re-band
     n_capped = 0
     full_pairs_capped = 0
     emitted_capped = 0
-    for s, c in zip(starts[counts > 1], counts[counts > 1]):
-        bucket_ids = sorted(set(ids[s : s + c].tolist()))
-        a, b, capped = _bucket_pairs(bucket_ids, max_bucket_pairs_full)
-        n_buckets += 1 if len(bucket_ids) >= 2 else 0
-        if capped:
-            n_capped += 1
-            n = len(bucket_ids)
-            full_pairs_capped += n * (n - 1) // 2
-            if skew_mode == "salted":
-                sa, sb = _salted_bucket_pairs_str(
-                    bucket_ids, max_bucket_pairs_full, salt_rounds
-                )
-                a = a + sa
-                b = b + sb
-            emitted_capped += len(a)
-        out_a.extend(a)
-        out_b.extend(b)
-        out_c.extend([capped] * len(a))
+    for s, c in zip(starts[counts > c_full], counts[counts > c_full]):
+        bucket = ids[s : s + c]
+        n = len(bucket)
+        n_capped += 1
+        full_pairs_capped += n * (n - 1) // 2
+        a_parts.append(np.full(n - 1, bucket[0], dtype=np.int64))
+        b_parts.append(bucket[1:])
+        emitted = n - 1
+        if skew_mode == "salted":
+            sa, sb = salted_bucket_pairs_int(
+                bucket, max_bucket_pairs_full, salt_rounds
+            )
+            a_parts.append(np.asarray(sa, dtype=np.int64))
+            b_parts.append(np.asarray(sb, dtype=np.int64))
+            emitted += len(sa)
+        emitted_capped += emitted
+        c_parts.append(np.ones(emitted, dtype=bool))
     if metrics is not None and n_buckets:
         from clonehunter_ray.state.metrics import report_metrics
 
@@ -176,19 +192,111 @@ def emit_pairs_partition(
                 "lsh_capped_emitted_pairs": emitted_capped,
             },
         )
-    return pa.Table.from_pydict(
+    out = []
+    for parts in (a_parts, b_parts):
+        flat = pa.array(
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        )
+        out.append(uniq.take(flat) if ranked else flat.cast(id_arr.type))
+    return pa.table(
         {
-            "a_id": pa.array(out_a, pa.string()),
-            "b_id": pa.array(out_b, pa.string()),
-            "capped": pa.array(out_c, pa.bool_()),
+            "a_id": out[0],
+            "b_id": out[1],
+            "capped": pa.array(
+                np.concatenate(c_parts) if c_parts else np.empty(0, dtype=bool)
+            ),
         }
     )
 
 
+def _id_hash(col) -> np.ndarray:
+    """A deterministic uint64 per id: int ids as themselves, string ids
+    as a splitmix chain over their bytes read in 8-byte words."""
+    if pa.types.is_integer(col.type):
+        return col.to_numpy(zero_copy_only=False).astype(np.uint64)
+    raw = col.cast(pa.binary()).to_numpy(zero_copy_only=False).astype("S")
+    width = -(-raw.dtype.itemsize // 8) * 8
+    words = raw.astype(f"S{width}").view(np.uint64).reshape(len(raw), -1)
+    h = np.zeros(len(raw), dtype=np.uint64)
+    for w in words.T:
+        h = _mix64(h ^ w)
+    return h
+
+
+def _with_part(t: pa.Table, cols: list[str], num_partitions: int) -> pa.Table:
+    """``part`` = a hash of ``cols`` mod P (one int column hashes to
+    itself): rows equal on ``cols`` land in one partition."""
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for c in cols:
+            h = h * np.uint64(0x9E3779B97F4A7C15) ^ _id_hash(t[c])
+    part = (h % np.uint64(num_partitions)).astype(np.int64)
+    return t.append_column("part", pa.array(part, pa.int64()))
+
+
+def dedupe_partition(t: pa.Table) -> pa.Table:
+    """One ``(a_id, b_id)`` row per pair of a partition, by one Arrow
+    ``group_by``; every other column aggregates by its type: bool ->
+    ``any`` (``capped``: any emission capped), anything else -> ``min``
+    (``hamming``, ``cos5``). Column order and types are kept."""
+    if "part" in t.column_names:
+        t = t.drop_columns(["part"])
+    if t.num_rows == 0:
+        return t
+    rest = [c for c in t.column_names if c not in ("a_id", "b_id")]
+    aggs = [
+        (c, "any" if pa.types.is_boolean(t.schema.field(c).type) else "min")
+        for c in rest
+    ]
+    g = t.group_by(["a_id", "b_id"], use_threads=False).aggregate(aggs)
+    return pa.table(
+        [g["a_id"], g["b_id"], *(g[f"{c}_{fn}"] for c, fn in aggs)],
+        schema=t.schema,
+    )
+
+
+def dedupe_pairs(pairs, num_partitions: int):
+    """The pair-dedup step of every LSH pipeline: a pair emitted from
+    several bands or buckets comes out once (``dedupe_partition``),
+    after one ``(a_id, b_id)`` hash partition into ``num_partitions``
+    groups (P group calls, not one per pair)."""
+    return (
+        pairs.map_batches(
+            _with_part,
+            fn_args=(["a_id", "b_id"], num_partitions),
+            batch_format="pyarrow",
+        )
+        .groupby("part")
+        .map_groups(dedupe_partition, batch_format="pyarrow")
+    )
+
+
+def band_pairs(bands, emit, num_partitions: int):
+    """The LSH pair shuffle: exploded ``(band_key, id[, ...])`` rows are
+    partitioned by ``band_key % P`` (P group calls instead of one per
+    bucket; skew within a partition stays bounded because hot buckets
+    are capped individually), each partition goes through ``emit``
+    (one partition table -> ``(a_id, b_id, ...)`` pairs, usually
+    ``emit_pairs_partition``), then ``dedupe_pairs``. Only ids cross
+    both shuffles; payloads attach after (``attach_pair_payload``)."""
+    return dedupe_pairs(
+        bands.map_batches(
+            _with_part,
+            fn_args=(["band_key"], num_partitions),
+            batch_format="pyarrow",
+        )
+        .groupby("part")
+        .map_groups(emit, batch_format="pyarrow"),
+        num_partitions,
+    )
+
+
 # assembled broadcast payloads per worker process, keyed by broadcast
-# id; bounded LRU-ish so concurrent pipelines (scan + doc dedup sharing
-# a worker pool) can hold their payloads without thrashing re-assembly
-_PAYLOAD_CACHE: dict[str, tuple[pa.Table, dict | None]] = {}
+# id, each with what the worker derived from it once (``index``: key ->
+# row dict, ``keys``: the key column as numpy); bounded LRU-ish so
+# concurrent pipelines (scan + doc dedup sharing a worker pool) can
+# hold their payloads without thrashing re-assembly
+_PAYLOAD_CACHE: dict[str, dict] = {}
 _PAYLOAD_CACHE_MAX = 4
 
 
@@ -260,33 +368,44 @@ def broadcast_blocks(block_refs, cols: list[str], key_col: str):
     return (str(uuid.uuid4()), combined_ref, tuple(cols), key_col)
 
 
+def _payload_entry(ref) -> dict:
+    """The worker's ``_PAYLOAD_CACHE`` entry for a broadcast handle,
+    mapping the combined table from plasma on first use."""
+    entry = _PAYLOAD_CACHE.get(ref[0])
+    if entry is None:
+        import ray
+
+        payload = ray.get(ref[1])
+        while len(_PAYLOAD_CACHE) >= _PAYLOAD_CACHE_MAX:
+            _PAYLOAD_CACHE.pop(next(iter(_PAYLOAD_CACHE)))
+        entry = _PAYLOAD_CACHE[ref[0]] = {"table": payload}
+    return entry
+
+
 def get_broadcast_payload(ref, need_index: bool = True) -> tuple[pa.Table, dict]:
-    """ref = (key, combined-table ObjectRef, payload_cols[, key_col]).
+    """ref = (key, combined-table ObjectRef, payload_cols, key_col).
     Maps the combined payload from plasma (zero-copy, shared by every
     worker on the node) and builds the key -> row index ONCE per worker
     process. Pass ``need_index=False`` when the caller addresses rows
     positionally (``Table.take``) — the index dict over every key is
     then skipped entirely (it is pure overhead for the heavy
     full-payload handle, whose consumers already hold row indices)."""
-    key, combined_ref, _cols = ref[0], ref[1], ref[2]
-    key_col = ref[3] if len(ref) > 3 else "snippet_id"
-    entry = _PAYLOAD_CACHE.get(key)
-    if entry is None:
-        import ray
-
-        payload = ray.get(combined_ref)
-        while len(_PAYLOAD_CACHE) >= _PAYLOAD_CACHE_MAX:
-            _PAYLOAD_CACHE.pop(next(iter(_PAYLOAD_CACHE)))
-        entry = (payload, None)
-        _PAYLOAD_CACHE[key] = entry
-    if need_index and entry[1] is None:
-        payload = entry[0]
-        index = {
-            sid: i for i, sid in enumerate(payload[key_col].to_pylist())
+    entry = _payload_entry(ref)
+    if need_index and "index" not in entry:
+        entry["index"] = {
+            sid: i for i, sid in enumerate(entry["table"][ref[3]].to_pylist())
         }
-        entry = (payload, index)
-        _PAYLOAD_CACHE[key] = entry
-    return entry
+    return entry["table"], entry.get("index")
+
+
+def _broadcast_keys(ref) -> tuple[pa.Table, np.ndarray]:
+    """The broadcast table and its key column as numpy, converted ONCE
+    per worker process (a string key column is an object array the
+    size of the whole side)."""
+    entry = _payload_entry(ref)
+    if "keys" not in entry:
+        entry["keys"] = entry["table"][ref[3]].to_numpy(zero_copy_only=False)
+    return entry["table"], entry["keys"]
 
 
 # The one broadcast-or-join rule for pair-payload attaches (the scan's
@@ -337,9 +456,10 @@ def _attach_broadcast(
     by ``key`` (combine_payload_blocks), so each ``on`` value is found
     by binary search — no per-worker key->row dict. ``inner`` drops a
     row missing under any ``on`` column; ``left`` keeps it with nulls."""
-    if not isinstance(table, pa.Table):
-        table, _ = get_broadcast_payload(table, need_index=False)
-    keys = table[key].to_numpy(zero_copy_only=False)
+    if isinstance(table, pa.Table):
+        keys = table[key].to_numpy(zero_copy_only=False)
+    else:
+        table, keys = _broadcast_keys(table)
     found = np.ones(batch.num_rows, dtype=bool)
     rows, hits = {}, {}
     for col in on:
@@ -505,8 +625,8 @@ def pre_gate_pairs_indexed(
         _DERIVED_CACHE[key_tuple] = (n_sh, n_tok, gate_arr)
     n_sh, n_tok, gate_arr = _DERIVED_CACHE[key_tuple]
 
-    a = batch["a_sid"].to_numpy(zero_copy_only=False).astype(np.int64)
-    b = batch["b_sid"].to_numpy(zero_copy_only=False).astype(np.int64)
+    a = batch["a_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    b = batch["b_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     sa, sb = n_sh[a], n_sh[b]
     ta, tb = n_tok[a], n_tok[b]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -569,40 +689,17 @@ def pre_gate_pairs_joined(
     return batch.filter(pa.array(keep, pa.bool_()))
 
 
-def explode_bands_indexed(
-    batch: pa.Table, index_ref
-) -> pa.Table:
-    """signatures batch -> (band_key, sid:int32) rows, snippet ids
-    replaced by their row index in the broadcast payload table. The
-    band shuffle then moves 12 bytes/row instead of a ~64-byte string
-    (the dominant shuffle of the pipeline), and the verify stage
-    attaches payloads with a direct ``Table.take`` on the indices."""
-    n = batch.num_rows
-    if n == 0:
-        return pa.table(
-            {
-                "band_key": pa.array([], pa.uint64()),
-                "sid": pa.array([], pa.int32()),
-            }
-        )
-    _, index = get_broadcast_payload(index_ref)
-    band_col = batch["band_keys"].combine_chunks()
-    flat = band_col.flatten()
-    num_bands = len(flat) // n
-    ids = batch["snippet_id"].to_pylist()
-    sids = np.repeat(
-        np.asarray([index[i] for i in ids], dtype=np.int32), num_bands
-    )
-    return pa.table({"band_key": flat, "sid": pa.array(sids, pa.int32())})
-
-
 def explode_bands_packed(
     batch: pa.Table, index_ref, num_partitions: int
 ) -> pa.Table:
     """signatures batch -> AT MOST ``num_partitions`` rows of
     (part: i64, keys: binary, sids: binary) where the blobs are the
     raw little-endian u64 band keys / i32 sids of this batch's rows
-    falling in that band-hash partition.
+    falling in that band-hash partition. A sid is the snippet's row
+    index in the broadcast payload table, so the band shuffle moves 12
+    bytes per band row instead of a ~64-byte string (the dominant
+    shuffle of the pipeline), and the verify stage attaches payloads
+    with a direct ``Table.take`` on the indices.
 
     Map-side packing for the band shuffle: the groupby("part") sort
     then moves ~blocks x P FAT rows instead of |snippets| x |bands|
@@ -611,7 +708,13 @@ def explode_bands_packed(
     bytes still move, the per-row cost vanishes). The all-parallel
     shape also survives this host's memory-bandwidth contention bursts,
     which made a single-task combine variant 2-4x slower, not faster."""
-    et = explode_bands_indexed(batch, index_ref)
+    _, index = get_broadcast_payload(index_ref)
+    sid = pa.array(
+        [index[i] for i in batch["snippet_id"].to_pylist()], pa.int32()
+    )
+    et = explode_bands(
+        pa.table({"sid": sid, "band_keys": batch["band_keys"]}), "sid"
+    )
     keys = et["band_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
     sids = et["sid"].to_numpy(zero_copy_only=False).astype(np.int32)
     # plain python-int modulus: u64-scalar variants hit slow numpy
@@ -645,11 +748,11 @@ def emit_pairs_packed_partition(
     salt_rounds: int,
     metrics=None,
 ) -> pa.Table:
-    """One part group of packed band fragments -> candidate pairs.
-    Unpacks the blobs (zero-copy frombuffer views), concatenates, and
-    runs the standard vectorized emission — row-for-row the same
-    partition contents as the unpacked groupby, so output pairs and
-    capped-bucket metrics are identical."""
+    """One part group of packed band fragments -> ``(a_id, b_id,
+    capped)`` int32 sid pairs. Unpacks the blobs (zero-copy frombuffer
+    views), concatenates, and runs ``emit_pairs_partition`` — row for
+    row the same partition contents as an unpacked groupby, so output
+    pairs and capped-bucket metrics are identical."""
     kb = [
         np.frombuffer(b, dtype=np.uint64)
         for b in partition["keys"].to_pylist()
@@ -658,210 +761,14 @@ def emit_pairs_packed_partition(
         np.frombuffer(b, dtype=np.int32)
         for b in partition["sids"].to_pylist()
     ]
-    if not kb:
-        return _SID_PAIRS_SCHEMA.empty_table()
     part_tbl = pa.table(
         {
-            "band_key": pa.array(np.concatenate(kb), pa.uint64()),
-            "sid": pa.array(np.concatenate(sb), pa.int32()),
+            "band_key": pa.array(
+                np.concatenate(kb) if kb else np.empty(0, np.uint64)
+            ),
+            "sid": pa.array(np.concatenate(sb) if sb else np.empty(0, np.int32)),
         }
     )
-    return emit_pairs_partition_indexed(
-        part_tbl,
-        max_bucket_pairs_full,
-        skew_mode=skew_mode,
-        salt_rounds=salt_rounds,
-        metrics=metrics,
+    return emit_pairs_partition(
+        part_tbl, "sid", max_bucket_pairs_full, skew_mode, salt_rounds, metrics
     )
-
-
-def salted_bucket_pairs_int(
-    bucket: np.ndarray,
-    cap: int,
-    rounds: int,
-    salt_seed: int = 0x5A17ED,
-) -> tuple[list[int], list[int]]:
-    """Salted re-band for one hot bucket (north_rule skew handling):
-    each round hashes the members into B sub-buckets sized so a
-    sub-bucket's all-pairs emission stays under ``cap``, then emits all
-    pairs within every sub-bucket. A non-hub pair co-occurs in a round
-    with probability ~1/B, so coverage after R rounds is 1-(1-1/B)^R
-    (e.g. B=2, R=8: 99.6%); for genuinely huge buckets (B large) the
-    residual loss is what the capped-pair metrics account for — full
-    O(n^2) emission there is infeasible by construction, not a bug.
-    Deterministic: salts derive from (salt_seed, round), never from
-    process state."""
-    from clonehunter_ray.functions.hashing import _mix64
-
-    n = len(bucket)
-    m = max(2, int((2 * cap) ** 0.5))  # sub-bucket size target
-    n_sub = max(2, -(-n // m))
-    out_a: list[int] = []
-    out_b: list[int] = []
-    if n_sub > rounds:
-        # pathological mega-bucket (boilerplate): pair coverage after R
-        # rounds is ~R/B which is negligible here, so the emissions
-        # would be pure cost — star-only, with the loss accounted in
-        # lsh_capped_full_pairs (measured: 29 such buckets at 60k files
-        # emitted ~1M salted pairs for 17% coverage of junk pairs)
-        return out_a, out_b
-    ids_u = bucket.astype(np.uint64)
-    for r in range(rounds):
-        salt = np.uint64((salt_seed + r * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
-        sub = (_mix64(ids_u ^ salt) % np.uint64(n_sub)).astype(np.int64)
-        order = np.argsort(sub, kind="stable")
-        s_sub, s_ids = sub[order], bucket[order]
-        _, starts, counts = np.unique(s_sub, return_index=True, return_counts=True)
-        for s, c in zip(starts[counts > 1], counts[counts > 1]):
-            members = np.sort(s_ids[s : s + c])
-            ii, jj = np.triu_indices(len(members), k=1)
-            out_a.extend(members[ii].tolist())
-            out_b.extend(members[jj].tolist())
-    return out_a, out_b
-
-
-def emit_pairs_partition_indexed(
-    partition: pa.Table,
-    max_bucket_pairs_full: int = 256,
-    skew_mode: str = "star",
-    salt_rounds: int = 6,
-    metrics=None,
-) -> pa.Table:
-    """Int-sid variant of ``emit_pairs_partition`` — fully vectorized
-    (np.unique + triu_indices per bucket, no Python id handling).
-
-    Hot buckets (pair count over the cap): always emit the hub-spoke
-    star (cluster connectivity), and under ``skew_mode="salted"`` also
-    the salted re-band pairs so non-hub pairs are recovered;
-    ``skew_mode="full"`` disables the cap. Capped-bucket counts and the
-    full-emission pair estimate go to the run's metrics actor."""
-    if skew_mode == "full":
-        max_bucket_pairs_full = 1 << 62
-    keys = partition["band_key"].to_numpy(zero_copy_only=False)
-    sids = partition["sid"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((sids, keys))
-    keys, sids = keys[order], sids[order]
-    if len(keys):
-        # drop duplicate (key, sid) rows so run length == member count
-        keep = np.concatenate(
-            [[True], (keys[1:] != keys[:-1]) | (sids[1:] != sids[:-1])]
-        )
-        keys, sids = keys[keep], sids[keep]
-    _, starts, counts = np.unique(keys, return_index=True, return_counts=True)
-    # members allowed for full emission: c(c-1)/2 <= cap
-    c_full = int((1 + (1 + 8 * max_bucket_pairs_full) ** 0.5) // 2)
-    a_parts: list[np.ndarray] = []
-    b_parts: list[np.ndarray] = []
-    c_parts: list[np.ndarray] = []
-    # same-size buckets share one triu pattern: ONE gather + fancy
-    # index per distinct size instead of a Python loop over millions of
-    # buckets (measured 49 s of UDF CPU at 60k files the loop way)
-    multi = counts >= 2
-    n_buckets = int(multi.sum())
-    for c in np.unique(counts[multi & (counts <= c_full)]):
-        sel = starts[counts == c]
-        m = sids[sel[:, None] + np.arange(c)[None, :]]  # (k, c) members
-        ii, jj = np.triu_indices(int(c), k=1)
-        a_parts.append(m[:, ii].ravel())
-        b_parts.append(m[:, jj].ravel())
-        c_parts.append(np.zeros(m.shape[0] * len(ii), dtype=bool))
-    # hot buckets (rare): hub-spoke star + optional salted re-band
-    n_capped = 0
-    full_pairs_capped = 0
-    emitted_capped = 0
-    for s, c in zip(starts[counts > c_full], counts[counts > c_full]):
-        bucket = sids[s : s + c]
-        n = len(bucket)
-        n_capped += 1
-        full_pairs_capped += n * (n - 1) // 2
-        star_a = np.full(n - 1, bucket[0], dtype=np.int64)
-        star_b = bucket[1:]
-        emitted = n - 1
-        a_parts.append(star_a)
-        b_parts.append(star_b)
-        if skew_mode == "salted":
-            sa, sb = salted_bucket_pairs_int(
-                bucket, max_bucket_pairs_full, salt_rounds
-            )
-            a_parts.append(np.asarray(sa, dtype=np.int64))
-            b_parts.append(np.asarray(sb, dtype=np.int64))
-            emitted += len(sa)
-        emitted_capped += emitted
-        c_parts.append(np.ones(emitted, dtype=bool))
-    if metrics is not None and n_buckets:
-        from clonehunter_ray.state.metrics import report_metrics
-
-        report_metrics(
-            metrics,
-            {
-                "lsh_buckets_multi": n_buckets,
-                "lsh_buckets_capped": n_capped,
-                "lsh_capped_full_pairs": full_pairs_capped,
-                "lsh_capped_emitted_pairs": emitted_capped,
-            },
-        )
-    out_a = np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.int64)
-    out_b = np.concatenate(b_parts) if b_parts else np.empty(0, dtype=np.int64)
-    out_c = np.concatenate(c_parts) if c_parts else np.empty(0, dtype=bool)
-    return pa.table(
-        {
-            "a_sid": pa.array(out_a.astype(np.int32), pa.int32()),
-            "b_sid": pa.array(out_b.astype(np.int32), pa.int32()),
-            "capped": pa.array(out_c, pa.bool_()),
-        }
-    )
-
-
-_SID_PAIRS_SCHEMA = pa.schema(
-    [("a_sid", pa.int32()), ("b_sid", pa.int32()), ("capped", pa.bool_())]
-)
-
-
-def dedupe_pairs_partition_indexed(partition: pa.Table) -> pa.Table:
-    """Vectorized (a_sid, b_sid) dedup; capped = any occurrence."""
-    if partition.num_rows == 0:
-        return _SID_PAIRS_SCHEMA.empty_table()
-    df = partition.select(["a_sid", "b_sid", "capped"]).to_pandas()
-    out = df.groupby(["a_sid", "b_sid"], as_index=False, sort=False).agg(
-        capped=("capped", "any")
-    )
-    return pa.Table.from_pandas(out, preserve_index=False).cast(_SID_PAIRS_SCHEMA)
-
-
-def add_pair_partition_column(batch: pa.Table, num_partitions: int) -> pa.Table:
-    """Partition key for cross-band pair dedup: hash of (a_id, b_id).
-
-    Vectorized (pd.util.hash_array is a process-stable siphash over
-    the string array, golden-ratio mix to combine the sides) — this
-    runs on the scale path's band-duplicated candidate stream, where
-    the previous per-row f-string + crc32 loop burned minutes of pure
-    Python per shuffle. Any deterministic function of the pair works:
-    identical (a_id, b_id) rows land in one partition either way."""
-    import numpy as np
-    import pandas as pd
-
-    a = batch["a_id"].to_numpy(zero_copy_only=False)
-    b = batch["b_id"].to_numpy(zero_copy_only=False)
-    with np.errstate(over="ignore"):
-        mixed = (
-            pd.util.hash_array(a) * np.uint64(0x9E3779B97F4A7C15)
-        ) ^ pd.util.hash_array(b)
-    part = (mixed % np.uint64(num_partitions)).astype(np.int64)
-    return batch.append_column("part", pa.array(part, pa.int64()))
-
-
-_STR_PAIRS_SCHEMA = pa.schema(
-    [("a_id", pa.string()), ("b_id", pa.string()), ("capped", pa.bool_())]
-)
-
-
-def dedupe_pairs_partition(partition: pa.Table) -> pa.Table:
-    """Vectorized cross-band pair dedup within one partition: keep one
-    row per (a_id, b_id); capped = any occurrence capped."""
-    if partition.num_rows == 0:
-        return _STR_PAIRS_SCHEMA.empty_table()
-    df = partition.select(["a_id", "b_id", "capped"]).to_pandas()
-    out = df.groupby(["a_id", "b_id"], as_index=False, sort=False).agg(
-        capped=("capped", "any")
-    )
-    return pa.Table.from_pandas(out, preserve_index=False).cast(_STR_PAIRS_SCHEMA)

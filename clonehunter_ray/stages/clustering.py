@@ -338,22 +338,27 @@ def filter_min_cluster_size(
     findings_ds: "ray.data.Dataset", min_size: int
 ) -> "ray.data.Dataset":
     """Reference filter_clusters (clustering.py:46-55): count findings
-    per cluster_id, keep clusters with >= min_size findings."""
+    per cluster_id, keep clusters with >= min_size findings — one inner
+    ``attach_by_key`` semi-join (no columns attached) onto the kept
+    cluster ids, so nothing cluster-sized is collected on the driver.
+    List columns cross it packed (its join path is Ray's hash join)."""
     if min_size <= 1:
         return findings_ds
+    from clonehunter_ray.stages.candidates import attach_by_key
 
-    counts_ds = findings_ds.groupby("cluster_id").count()
-    keep = [
-        r["cluster_id"]
-        for r in counts_ds.iter_rows()
-        if r["count()"] >= min_size
-    ]
-    keep_ref = ray.put(pa.array(keep, pa.int64()))
-
-    def _filter(batch):
-        mask = pc.fill_null(
-            pc.is_in(batch["cluster_id"], value_set=ray.get(keep_ref)), False
+    kept = (
+        findings_ds.groupby("cluster_id")
+        .count()
+        .map_batches(
+            lambda t: t.filter(pc.greater_equal(t["count()"], min_size)),
+            batch_format="pyarrow",
         )
-        return batch.filter(mask)
-
-    return findings_ds.map_batches(_filter, batch_format="pyarrow")
+    )
+    return attach_by_key(
+        findings_ds.map_batches(_pack_lists, batch_format="pyarrow"),
+        kept,
+        "cluster_id",
+        [],
+        on="cluster_id",
+        schema=pa.schema([("cluster_id", pa.int64())]),
+    ).map_batches(_unpack_lists, batch_format="pyarrow")

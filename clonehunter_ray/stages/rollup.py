@@ -74,7 +74,8 @@ def add_rollup_partition(batch: pa.Table, num_partitions: int) -> pa.Table:
 
     Grouping by the coarse partition instead of by pair_key turns
     millions of per-pair ``map_groups`` UDF calls into P vectorizable
-    partition passes (same trick as candidates.add_partition_column).
+    partition passes (same trick as candidates.band_pairs' band-key
+    partition).
     """
     import zlib
 

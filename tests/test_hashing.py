@@ -347,10 +347,8 @@ def test_doc_signature_stage_arrow_columns_match_list_build():
     import pyarrow as pa
 
     from clonehunter_ray.config import SignatureConfig
-    from clonehunter_ray.pipelines.dedup import (
-        DocSignatureStage,
-        _explode_doc_bands_ids,
-    )
+    from clonehunter_ray.pipelines.dedup import DocSignatureStage
+    from clonehunter_ray.stages.candidates import explode_bands
 
     texts = ["alpha beta gamma delta epsilon zeta", "", None, "a b",
              "the quick brown fox " * 40]
@@ -376,7 +374,7 @@ def test_doc_signature_stage_arrow_columns_match_list_build():
     assert out["shingles"].combine_chunks().equals(
         pa.array([s.tobytes() for s in sh], pa.binary())
     )
-    exploded = _explode_doc_bands_ids(out)
+    exploded = explode_bands(out, "doc_id")
     assert exploded["band_key"].to_pylist() == bands.ravel().tolist()
     assert exploded["doc_id"].to_pylist() == np.repeat(
         [7, 3, 11, 0, 5], cfg.num_bands
@@ -384,7 +382,7 @@ def test_doc_signature_stage_arrow_columns_match_list_build():
 
     out0 = DocSignatureStage(cfg)(batch.slice(0, 0))
     assert out0.schema.equals(out.schema)
-    assert _explode_doc_bands_ids(out0).num_rows == 0
+    assert explode_bands(out0, "doc_id").num_rows == 0
 
 
 def test_lsh_tune_matches_hand_derived_configs():

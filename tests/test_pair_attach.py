@@ -1,6 +1,6 @@
 """The one keyed attach, ``stages/candidates.attach_by_key`` (broadcast
 or partitioned join behind ``fits_broadcast``), its pair form
-``attach_pair_payload``, and the document pair path ``dedup.band_pairs``
+``attach_pair_payload``, and the LSH pair shuffle ``candidates.band_pairs``
 (band shuffle -> emit -> pair dedup). Both sides of the size rule must
 give identical rows, for inner and left attaches, with a typed result
 when a side is empty."""
@@ -251,7 +251,7 @@ def test_scan_byte_gate_takes_join_path(ray_session, monkeypatch):
 def test_band_pairs_dedupes_and_ors_capped(ray_session, n):
     """band_pairs: a pair emitted from several bands comes out once,
     capped when any of its emissions was."""
-    from clonehunter_ray.pipelines.dedup import band_pairs
+    from clonehunter_ray.stages.candidates import band_pairs
 
     bands = pa.table(
         {

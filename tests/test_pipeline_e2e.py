@@ -83,13 +83,31 @@ def test_exact_family_forms_one_cluster(scan_result):
         assert len(labels) == 1
 
 
-def test_min_cluster_size_filter(ray_session, tiny_corpus):
-    files, truth = tiny_corpus
-    cfg = EngineConfig(cluster=ClusterConfig(enabled=True, min_size=3))
-    res = scan(ray.data.from_arrow(files), cfg)
-    f = res.findings.to_pandas()
-    counts = f.groupby("cluster_id").size()
-    assert (counts >= 3).all()
+def test_min_cluster_size_filter(ray_session, tiny_corpus, monkeypatch):
+    """min_size=3 keeps exactly the unfiltered findings whose cluster
+    has >= 3 findings, on the driver and on the distributed clustering
+    path (cluster ids differ between the two, so each is compared with
+    its own unfiltered run)."""
+    from clonehunter_ray.stages import clustering as C
+
+    files, _ = tiny_corpus
+    cols = ["pair_key", "unit_a", "unit_b", "cluster_id"]
+    for max_edges, path in ((C.DRIVER_MAX_EDGES, "driver"), (0, "distributed")):
+        monkeypatch.setattr(C, "DRIVER_MAX_EDGES", max_edges)
+        full = scan(ray.data.from_arrow(files), EngineConfig()).findings.to_pandas()
+        res = scan(
+            ray.data.from_arrow(files),
+            EngineConfig(cluster=ClusterConfig(enabled=True, min_size=3)),
+        )
+        assert res.stats["plan"]["clustering"]["path"] == path
+        want = full[full.groupby("cluster_id")["pair_key"].transform("size") >= 3]
+        assert 0 < len(want) < len(full)
+        got = res.findings.to_pandas()
+        a = got[cols].sort_values(cols).reset_index(drop=True)
+        b = want[cols].sort_values(cols).reset_index(drop=True)
+        assert a.equals(b)
+        assert res.stats["counts"]["findings"] == len(want)
+        assert res.stats["counts"]["clusters"] == want["cluster_id"].nunique()
 
 
 def test_findings_deterministic_across_runs(ray_session, tiny_corpus):
@@ -107,25 +125,36 @@ def test_join_scale_path_matches_broadcast_path(
 ):
     """The >2M-snippet scale path (string ids + narrow pre-gate joins +
     partitioned payload hash joins) must produce the same findings as
-    the broadcast path; forced here with the broadcast row cutover at 0."""
-    from clonehunter_ray.config import ExecConfig
+    the broadcast path; forced here with the broadcast row cutover at 0.
+    Under ``skew_mode="star"`` with a small cap, buckets cap on both
+    paths, and the capped-bucket counters agree too: both paths pick
+    the same hub (the smallest snippet id) and count the same buckets."""
+    from clonehunter_ray.config import ExecConfig, SignatureConfig
     from clonehunter_ray.stages import candidates
 
     files, _ = tiny_corpus
-    base = scan(ray.data.from_arrow(files), EngineConfig())
-    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
-    forced = scan(
-        ray.data.from_arrow(files),
-        EngineConfig(exec=ExecConfig(shuffle_partitions=4)),
-    )
-    assert base.stats["plan"]["pairs"]["path"] == "broadcast"
-    assert forced.stats["plan"]["pairs"]["path"] == "join"
     cols = ["unit_a", "unit_b", "score", "duplicated_lines", "n_evidence"]
-    a = base.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
-    b = forced.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
     import pandas as pd
 
-    pd.testing.assert_frame_equal(a, b, check_exact=False, atol=1e-9)
+    for sig in (
+        SignatureConfig(),
+        SignatureConfig(skew_mode="star", max_bucket_pairs_full=1),
+    ):
+        base = scan(ray.data.from_arrow(files), EngineConfig(signature=sig))
+        with monkeypatch.context() as m:
+            m.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+            forced = scan(
+                ray.data.from_arrow(files),
+                EngineConfig(signature=sig, exec=ExecConfig(shuffle_partitions=4)),
+            )
+        assert base.stats["plan"]["pairs"]["path"] == "broadcast"
+        assert forced.stats["plan"]["pairs"]["path"] == "join"
+        a = base.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+        b = forced.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b, check_exact=False, atol=1e-9)
+        if sig.skew_mode == "star":
+            for key in ("lsh_buckets_capped", "lsh_capped_full_pairs"):
+                assert base.stats["lsh"][key] == forced.stats["lsh"][key] > 0
 
 
 def test_push_shuffle_strategy_findings_identical(ray_session, tiny_corpus):

@@ -27,26 +27,24 @@ def _pair_set(t: pa.Table) -> set[tuple[int, int]]:
 def test_salted_reband_recovers_capped_bucket_pairs():
     """A hot bucket (60 members, 1770 pairs > cap 256): star mode loses
     spoke-spoke pairs; salted re-band recovers >=99% of all pairs."""
-    from clonehunter_ray.pipelines.dedup import _emit_doc_pairs_partition
+    from clonehunter_ray.stages.candidates import emit_pairs_partition
 
     n = 60
     want = {(i, j) for i in range(n) for j in range(i + 1, n)}
 
-    star = _emit_doc_pairs_partition(_emit_table(n), 256, skew_mode="star")
+    star = emit_pairs_partition(_emit_table(n), "doc_id", 256, "star", 6)
     star_pairs = _pair_set(star)
     assert star_pairs == {(0, j) for j in range(1, n)}  # hub-spoke only
     assert all(star["capped"].to_pylist())
 
-    salted = _emit_doc_pairs_partition(
-        _emit_table(n), 256, skew_mode="salted", salt_rounds=16
-    )
+    salted = emit_pairs_partition(_emit_table(n), "doc_id", 256, "salted", 16)
     got = _pair_set(salted)
     recall = len(got & want) / len(want)
     assert recall >= 0.99, f"salted recall {recall:.4f}"
     assert got <= want  # only canonical a<b pairs, no inventions
     assert all(salted["capped"].to_pylist())  # accounting flag intact
 
-    full = _emit_doc_pairs_partition(_emit_table(n), 256, skew_mode="full")
+    full = emit_pairs_partition(_emit_table(n), "doc_id", 256, "full", 6)
     assert _pair_set(full) == want
     assert not any(full["capped"].to_pylist())
 
