@@ -115,8 +115,8 @@ def run_bench() -> dict:
     # ---- headline: flagship clone scan --------------------------------
     # best of 2 back-to-back reps: co-tenant load on this host swings
     # single samples up to 3x, and the second rep also amortizes Ray's
-    # worker/actor warmup out of the measurement
-    cfg = EngineConfig()  # signature_actors auto-sizes to the cluster
+    # worker warmup out of the measurement
+    cfg = EngineConfig()
     scan_runs = []
     n_findings = 0
     for _ in range(int(os.environ.get("GRAFT_BENCH_REPS", "2"))):
@@ -347,8 +347,8 @@ def run_bench() -> dict:
 
     # ---- expansion-enabled scan (EXP call-graph snippets) -------------
     # one rep over the same corpus as the headline; measures the
-    # autoscaling (1, N) signature pool + the per-repo groupby the EXP
-    # path adds (scan.py:142-156)
+    # per-repo groupby and the extra snippets the EXP path adds
+    # (scan.build_signatures)
     if not scan_only:
         from clonehunter_ray.config import ExpansionConfig
 
@@ -531,68 +531,6 @@ def run_scaling() -> None:
         ),
         flush=True,
     )
-    if os.environ.get("GRAFT_SKIP_AB") != "1":
-        print(json.dumps(run_actor_ab(lo, hi)), flush=True)
-
-
-def run_actor_ab(lo: int, hi: int) -> dict:
-    """Controlled scaling evidence: the same scan in ONE Ray session at
-    a lo-sized and a hi-sized signature pool, seconds apart.
-
-    The subprocess comparison above spans 10+ minutes of wall clock, and
-    this sandbox's co-tenant load swings throughput up to 3x on that
-    horizon — single samples can invert. Back-to-back runs in one
-    session hold the noise regime constant, isolating how the job
-    responds to parallelism (the signature pool bounds the whole scan:
-    the stateless prefix fuses into it).
-    """
-    import ray
-    import ray.data
-    from ray.data import DataContext
-
-    ray.init(
-        address="local",
-        num_cpus=hi,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    DataContext.get_current().enable_progress_bars = False
-
-    from clonehunter_ray.util import silence_empty_schema_warnings
-
-    silence_empty_schema_warnings()
-
-    from clonehunter_ray.config import EngineConfig, ExecConfig
-    from clonehunter_ray.pipelines.scan import scan
-
-    n_files = int(os.environ.get("GRAFT_BENCH_FILES", "20000"))
-    files_path = corpus_path(n_files)
-
-    def run_with(actors: int) -> float:
-        ds = ray.data.read_parquet(
-            files_path,
-            override_num_blocks=max(32, hi * 4, n_files // 400),
-        )
-        cfg = EngineConfig(exec=ExecConfig(signature_actors=actors))
-        t0 = time.monotonic()
-        scan(ds, cfg).findings.count()
-        return round(time.monotonic() - t0, 3)
-
-    lo_actors, hi_actors = max(2, lo - 2), max(2, hi - 2)
-    t_hi = run_with(hi_actors)   # hi first: warms object store equally
-    t_lo = run_with(lo_actors)
-    t_hi2 = run_with(hi_actors)  # repeat hi to bound drift
-    ray.shutdown()
-    best_hi = min(t_hi, t_hi2)
-    eff = (t_lo / best_hi) / (hi_actors / lo_actors)
-    return {
-        "actor_ab_sec_lo": t_lo,
-        "actor_ab_sec_hi": [t_hi, t_hi2],
-        "actor_ab_actors": [lo_actors, hi_actors],
-        "actor_ab_files": n_files,
-        "actor_scaling_efficiency": round(eff, 3),
-    }
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ A from-scratch rebuild of the capabilities of drogers0/clonehunter
 * input = one Parquet table ``files(repo, path, commit, lang, content)``
 * extract function/file units (AST for python, whole file otherwise)
 * FUNC / WIN snippets with docstring-strip normalization
-* token shingles -> MinHash + SimHash signatures (stateful actor pool)
+* token shingles -> MinHash + SimHash signatures (Ray tasks)
 * LSH band-hash groupby shuffle -> candidate pairs (salted for skew)
 * exact Jaccard + lexical verification -> per-function-pair rollup
 * union-find connected-component clustering

@@ -174,15 +174,10 @@ class ExecConfig:
     # rows per task bundle for the fused files->signatures prefix. This
     # counts FILE rows (the operator's input), and one task = one
     # bundle: 2048 would cap a 20k-file corpus at 10 parallel tasks no
-    # matter how many actors exist. 128 files/task keeps hundreds of
+    # matter how many CPUs exist. 128 files/task keeps hundreds of
     # tasks in flight per million files while each task still amortizes
     # batch overheads over ~1k snippets.
     file_batch_size: int = 128
-    # actor-pool size for the signature stage; 0 = auto (cluster CPUs
-    # minus a couple of slots for the feeding read tasks). The whole
-    # stateless prefix (sha256/extract/snippets) fuses INTO this pool,
-    # so undersizing it leaves most of the cluster idle.
-    signature_actors: int = 0
     shuffle_partitions: int = 0  # 0 = auto (scale with corpus size)
     # auto mode only: target BAND rows per band-shuffle partition. The
     # band exchange is (snippets x num_bands) rows; fixed partition

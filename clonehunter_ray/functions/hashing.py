@@ -364,9 +364,9 @@ class MinHasher:
         # buffer: this sandbox's kernel makes first-touch page faults
         # ~100x dearer than the compute, so the buffer is (a) small
         # (1M elements = 8 MB, still thousands of rows per reduceat
-        # call) and (b) allocated once per MinHasher lifetime — an
-        # actor-pool stage pays the fault cost once per actor, not
-        # once per batch
+        # call) and (b) allocated once per MinHasher lifetime — a
+        # stage cached per worker process pays the fault cost once per
+        # worker process, not once per batch
         self._budget = max(1, (1 << 20) // num_perm)
         self._buf: np.ndarray | None = None
 

@@ -22,10 +22,15 @@ import ray.data
 
 from clonehunter_ray.config import SignatureConfig
 from clonehunter_ray.functions import hashing as H
+from clonehunter_ray.util import cached_stage
+
+
+_DEFAULT_CONFIG = SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
 
 
 class DocSignatureStage:
-    """Actor-pool stage: text -> shingle set + minhash bands + simhash.
+    """Stateful stage: text -> shingle set + minhash bands + simhash.
+    Pipelines run it as tasks through ``doc_signatures_task``.
 
     Flat batch kernels throughout (one lexsort/reduceat over the whole
     batch instead of per-row np.unique / (n_shingles x 64) expansions
@@ -41,7 +46,7 @@ class DocSignatureStage:
         config: SignatureConfig | None = None,
         emit: tuple[str, ...] = ("shingles", "bands", "simhash"),
     ) -> None:
-        self.config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
+        self.config = config or _DEFAULT_CONFIG
         self.hasher = (
             H.MinHasher(self.config.num_perm, self.config.seed)
             if "bands" in emit
@@ -75,11 +80,29 @@ class DocSignatureStage:
         return pa.table(cols)
 
 
+def doc_signatures_task(
+    batch: pa.Table, config: SignatureConfig, emit: tuple[str, ...]
+) -> pa.Table:
+    """``map_batches`` task form of ``DocSignatureStage``: one stage per
+    ``(config, emit)`` per worker process (util.cached_stage)."""
+    return cached_stage(DocSignatureStage, config, emit)(batch)
+
+
+def _doc_signatures(
+    docs_ds: "ray.data.Dataset", config: SignatureConfig, emit: tuple[str, ...]
+) -> "ray.data.Dataset":
+    return docs_ds.map_batches(
+        doc_signatures_task,
+        fn_kwargs={"config": config, "emit": emit},
+        batch_size=256,
+        batch_format="pyarrow",
+    )
+
+
 def minhash_dedup_pairs(
     docs_ds: "ray.data.Dataset",
     threshold: float = 0.8,
     config: SignatureConfig | None = None,
-    concurrency: int | None = None,
     num_partitions: int = 64,
     max_bucket_pairs_full: int = 1024,
     metrics=None,
@@ -100,23 +123,10 @@ def minhash_dedup_pairs(
         emit_pairs_partition,
         explode_bands,
     )
-    from clonehunter_ray.util import auto_actor_pool
 
-    config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
-    sig = docs_ds.map_batches(
-        DocSignatureStage,
-        fn_constructor_kwargs={
-            "config": config,
-            "emit": ("shingles", "bands"),
-        },
-        # autoscale to the cluster (a fixed constant caps the whole
-        # stage; a fixed FULL-size pool pays mass actor startup even
-        # for tiny inputs); small batches keep task count >> actor
-        # count so the pool fills even from a handful of read blocks
-        concurrency=concurrency or auto_actor_pool(),
-        batch_size=256,
-        batch_format="pyarrow",
-    ).materialize()  # reused by the band shuffle AND the payload attach
+    config = config or _DEFAULT_CONFIG
+    # materialized: reused by the band shuffle AND the payload attach
+    sig = _doc_signatures(docs_ds, config, ("shingles", "bands")).materialize()
 
     pairs = band_pairs(
         sig.select_columns(["doc_id", "band_keys"]).map_batches(
@@ -181,8 +191,8 @@ def incremental_dedup_stream(
     express.
 
     The unit of work is the epoch: a window of ``snapshot_every``
-    chunks. Signature hashing runs as a distributed actor-pool stage
-    BEFORE the ingest-order sort; the driver then hands each window to
+    chunks. Signature hashing runs as distributed tasks BEFORE the
+    ingest-order sort; the driver then hands each window to
     ``ShardedLshIndex.ingest`` — one ``ingest`` and one ``put`` call per
     shard, then candidate dedup, owner-side exact verification and the
     keep-earliest reduction inline. Every posting carries its chunk's
@@ -208,9 +218,8 @@ def incremental_dedup_stream(
     import os
 
     from clonehunter_ray.state.lsh_index import OUT_SCHEMA, ShardedLshIndex
-    from clonehunter_ray.util import auto_actor_pool
 
-    cfg = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
+    cfg = config or _DEFAULT_CONFIG
     index = ShardedLshIndex(n_shards=n_shards, config=cfg)
 
     restored_flagged: list[str] = []
@@ -239,16 +248,8 @@ def incremental_dedup_stream(
     # sort being the final op keeps iter_batches in sorted order even
     # with preserve_order off)
     sig = (
-        docs_ds.select_columns(["doc_id", "text"])
-        .map_batches(
-            DocSignatureStage,
-            fn_constructor_kwargs={
-                "config": cfg,
-                "emit": ("shingles", "bands"),
-            },
-            concurrency=auto_actor_pool(),
-            batch_size=256,
-            batch_format="pyarrow",
+        _doc_signatures(
+            docs_ds.select_columns(["doc_id", "text"]), cfg, ("shingles", "bands")
         )
         .select_columns(["doc_id", "shingles", "band_keys"])
         .sort("doc_id")
@@ -347,15 +348,9 @@ def simhash_dup_pairs(
     go through the one LSH pair shuffle (stages/candidates.band_pairs
     and emit_pairs_partition in ``star`` mode)."""
     from clonehunter_ray.stages import candidates
-    from clonehunter_ray.util import auto_actor_pool
 
-    config = config or SignatureConfig(shingle_k=5, num_bands=32, band_rows=4)
-    sig = docs_ds.map_batches(
-        DocSignatureStage,
-        fn_constructor_kwargs={"config": config, "emit": ("simhash",)},
-        concurrency=auto_actor_pool(),
-        batch_size=256,
-        batch_format="pyarrow",
+    sig = _doc_signatures(
+        docs_ds, config or _DEFAULT_CONFIG, ("simhash",)
     ).select_columns(["doc_id", "simhash"])
 
     def explode(batch: pa.Table) -> pa.Table:

@@ -7,7 +7,7 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       -> map_batches(add_content_sha256)      # per-row invariant
       -> map_batches(extract_units)           # flat-map, stateless
       -> map_batches(generate_snippets)       # flat-map, stateless
-      -> map_batches(SignatureStage, actors)  # stateful actor pool
+      -> map_batches(signatures_task)         # tasks, per-process stage
       [checkpoint: signatures]
       -- signatures fit the broadcast cutover (the default path):
       -> broadcast payload table (one plasma table, sid = row index)
@@ -46,7 +46,7 @@ from clonehunter_ray.stages.candidates import (
     explode_bands,
 )
 from clonehunter_ray.stages.extract import add_content_sha256, extract_units_batch
-from clonehunter_ray.stages.signatures import SignatureStage
+from clonehunter_ray.stages.signatures import signatures_task
 from clonehunter_ray.stages.snippets import generate_snippets_batch
 from clonehunter_ray.stages.verify import verify_pairs_batch
 from clonehunter_ray.state import checkpoint as ckpt
@@ -170,38 +170,22 @@ def build_signatures(
     """files -> signatures (the narrow half; ``prefix`` reuses an
     already-built (hashed, units, snippets) chain)."""
     hashed, _units, snippets = prefix or build_prefix(files_ds, config)
-    from clonehunter_ray.util import auto_actor_count
-
-    n_actors = config.exec.signature_actors
-    if n_actors <= 0:  # auto: the fused chain should own the cluster
-        n_actors = auto_actor_count()
-    concurrency: int | tuple[int, int] = n_actors
     if config.expansion.enabled:
         # EXP call-expansion snippets (per-repo-local groupby; off by
-        # default like the reference, config.py:16). Materialized before
-        # the union: the groupby's sort stage and the signature actor
-        # pool deadlock when they compete for CPUs inside one plan.
+        # default like the reference, config.py:16)
         from clonehunter_ray.stages.expansion import generate_exp_snippets
 
-        snippets = snippets.union(
-            generate_exp_snippets(hashed, config.expansion).materialize()
-        )
-        # the union breaks task->actor operator fusion, so the upstream
-        # task chain needs CPU slots WHILE the pool holds its minimum;
-        # an autoscaling (1, N) pool keeps the min reservation at one
-        # actor and avoids starving the feeder tasks on small clusters.
-        concurrency = (1, n_actors)
+        snippets = snippets.union(generate_exp_snippets(hashed, config.expansion))
     return snippets.map_batches(
-        SignatureStage,
-        fn_constructor_kwargs={
+        signatures_task,
+        fn_kwargs={
             "config": config.signature,
             "emit_token_seq": config.substring.enabled,
         },
-        concurrency=concurrency,
         # the fused files->signatures operator bundles tasks by ITS
-        # INPUT rows (files); a small bundle keeps task count >> actor
-        # count so the pool actually fills (observed: 2048 capped a
-        # 20k-file corpus at 10 tasks regardless of actors)
+        # INPUT rows (files); a small bundle keeps task count >> CPU
+        # count so every CPU gets work (observed: 2048 capped a
+        # 20k-file corpus at 10 tasks)
         batch_size=config.exec.file_batch_size,
         batch_format="pyarrow",
     )

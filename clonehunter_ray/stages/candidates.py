@@ -481,6 +481,41 @@ def _attach_broadcast(
     return batch
 
 
+# Ray's hash join (Arrow Acero) carries no list columns; list<string>
+# columns (the findings' reasons) cross it as \x1f-joined strings.
+# Reason tags never contain \x1f, so the round trip is lossless.
+_SEP = "\x1f"
+_PACKED = "__packed__"
+
+
+def pack_lists(batch: pa.Table) -> pa.Table:
+    """Each list<string> column as one \x1f-joined string column
+    renamed ``__packed__<name>`` (``unpack_lists`` reverses it)."""
+    for i, field in enumerate(batch.schema):
+        if pa.types.is_list(field.type) and pa.types.is_string(
+            field.type.value_type
+        ):
+            batch = batch.set_column(
+                i,
+                _PACKED + field.name,
+                pc.binary_join(batch.column(i).combine_chunks(), _SEP),
+            )
+    return batch
+
+
+def unpack_lists(batch: pa.Table) -> pa.Table:
+    for i, field in enumerate(batch.schema):
+        if field.name.startswith(_PACKED):
+            col = batch.column(i)
+            lists = pc.if_else(
+                pc.equal(col, ""),
+                pa.scalar([], pa.list_(pa.string())),
+                pc.split_pattern(col, pattern=_SEP).cast(pa.list_(pa.string())),
+            )
+            batch = batch.set_column(i, field.name[len(_PACKED):], lists)
+    return batch
+
+
 def attach_by_key(
     rows,
     side,
@@ -505,11 +540,12 @@ def attach_by_key(
     every worker maps zero-copy (``make_broadcast_handle``) and
     ``rows`` stream through a binary-search probe; otherwise one
     partitioned hash join per ``on`` column (``util.safe_join``, or
-    ``util.left_attach_or_nulls`` for ``left``). An empty ``side`` — or
-    empty ``rows`` on the join path, which Ray's hash join cannot take
-    (see util.left_attach_or_nulls) — gives a typed result without a
-    join. ``schema`` types the side's columns when Ray reports no
-    schema for an empty side (an aggregate over no rows)."""
+    ``util.left_attach_or_nulls`` for ``left``), list<string> columns
+    of either side crossing it packed (``pack_lists``). An empty
+    ``side`` — or empty ``rows`` on the join path, which Ray's hash join
+    cannot take (see util.left_attach_or_nulls) — gives a typed result
+    without a join. ``schema`` types the side's columns when Ray reports
+    no schema for an empty side (an aggregate over no rows)."""
     import ray.data
 
     from clonehunter_ray.util import left_attach_or_nulls, safe_join
@@ -543,12 +579,16 @@ def attach_by_key(
         return ray.data.from_arrow(pa.schema(fields).empty_table())
 
     row_types = dict(zip(r.names, r.types))
+    # an extra pass over the rows only when a list column must be packed
+    lists = any(pa.types.is_list(t) for t in [*r.types, *(types[c] for c in cols)])
+    if lists:
+        rows = rows.map_batches(pack_lists, batch_format="pyarrow")
     for col, prefix in on.items():
         # the join needs equal key types on both sides (the probe
         # compares int widths freely); outputs take their prefix here
         def right_side(t, p=prefix, want=row_types[col]):
             t = t.rename_columns([key, *(f"{p}{c}" for c in cols)])
-            return t.set_column(0, key, t[key].cast(want))
+            return pack_lists(t.set_column(0, key, t[key].cast(want)))
 
         right = side.map_batches(right_side, batch_format="pyarrow")
         if how == "inner":
@@ -566,7 +606,7 @@ def attach_by_key(
                     [(f"{prefix}{c}", types[c]) for c in cols]
                 ),
             )
-    return rows
+    return rows.map_batches(unpack_lists, batch_format="pyarrow") if lists else rows
 
 
 def attach_pair_payload(

@@ -235,50 +235,21 @@ def attach_labels(
     return rows_ds.map_batches(lookup, batch_format="pyarrow")
 
 
-# Ray's hash join (Arrow Acero) carries no list columns; list<string>
-# columns (the findings' reasons) cross it as \x1f-joined strings.
-# Reason tags never contain \x1f, so the round trip is lossless.
-_SEP = "\x1f"
-_PACKED = "__packed__"
-
-
-def _pack_lists(batch: pa.Table) -> pa.Table:
-    for i, field in enumerate(batch.schema):
-        if pa.types.is_list(field.type):
-            batch = batch.set_column(
-                i,
-                _PACKED + field.name,
-                pc.binary_join(batch.column(i).combine_chunks(), _SEP),
-            )
-    return batch
-
-
-def _unpack_lists(batch: pa.Table) -> pa.Table:
-    for i, field in enumerate(batch.schema):
-        if field.name.startswith(_PACKED):
-            col = batch.column(i)
-            lists = pc.if_else(
-                pc.equal(col, ""),
-                pa.scalar([], pa.list_(pa.string())),
-                pc.split_pattern(col, pattern=_SEP).cast(pa.list_(pa.string())),
-            )
-            batch = batch.set_column(i, field.name[len(_PACKED):], lists)
-    return batch
-
-
 def _join_labels(
     rows_ds: "ray.data.Dataset", labels_ds: "ray.data.Dataset", key: str
 ) -> "ray.data.Dataset":
+    from clonehunter_ray.stages.candidates import pack_lists, unpack_lists
+
     labels = labels_ds.map_batches(
         lambda t: t.rename_columns([key, "label"]), batch_format="pyarrow"
     )
     return safe_join(
-        rows_ds.map_batches(_pack_lists, batch_format="pyarrow"),
+        rows_ds.map_batches(pack_lists, batch_format="pyarrow"),
         labels,
         "left_outer",
         _JOIN_PARTITIONS,
         on=(key,),
-    ).map_batches(_unpack_lists, batch_format="pyarrow")
+    ).map_batches(unpack_lists, batch_format="pyarrow")
 
 
 def add_cluster_ids(
@@ -340,8 +311,7 @@ def filter_min_cluster_size(
     """Reference filter_clusters (clustering.py:46-55): count findings
     per cluster_id, keep clusters with >= min_size findings — one inner
     ``attach_by_key`` semi-join (no columns attached) onto the kept
-    cluster ids, so nothing cluster-sized is collected on the driver.
-    List columns cross it packed (its join path is Ray's hash join)."""
+    cluster ids, so nothing cluster-sized is collected on the driver."""
     if min_size <= 1:
         return findings_ds
     from clonehunter_ray.stages.candidates import attach_by_key
@@ -355,10 +325,10 @@ def filter_min_cluster_size(
         )
     )
     return attach_by_key(
-        findings_ds.map_batches(_pack_lists, batch_format="pyarrow"),
+        findings_ds,
         kept,
         "cluster_id",
         [],
         on="cluster_id",
         schema=pa.schema([("cluster_id", pa.int64())]),
-    ).map_batches(_unpack_lists, batch_format="pyarrow")
+    )

@@ -5,12 +5,16 @@ embedding/codebert_embedder.py:37-129 — 92% of its cold wall time) with
 stateless-in-data, stateful-in-setup hash signatures, per the
 BASELINE.json north_star.
 
-Engine shape: a **callable class** run as an actor pool —
-``ds.map_batches(SignatureStage, fn_constructor_kwargs=...,
-concurrency=N, batch_size=B, batch_format="pyarrow")``. The MinHash
-permutation tables and compiled token regex are built once per actor in
-``__init__`` (the analogue of loading the model once per worker); each
-``__call__`` vectorizes over the whole Arrow batch.
+Engine shape: plain Ray Data **tasks** —
+``ds.map_batches(signatures_task, fn_kwargs={"config": ...,
+"emit_token_seq": ...}, batch_size=B, batch_format="pyarrow")``. The
+stage's only state is its MinHash permutation tables and scratch
+buffer (a few KB to 8 MB), so it lives in a per-process cache keyed by
+the frozen config and the emit argument (``util.cached_stage``). Ray
+reuses task workers, so ``SignatureStage`` is built once per worker
+process, every CPU runs the fused read->signatures chain, and no actor
+pool holds CPU slots the read tasks need. Each ``__call__`` vectorizes
+over the whole Arrow batch.
 
 Output columns (FIXTURES.md §3 `signatures`, plus carried snippet meta
 so downstream stages never re-join against raw text):
@@ -32,6 +36,7 @@ import pyarrow as pa
 
 from clonehunter_ray.config import SignatureConfig
 from clonehunter_ray.functions import hashing as H
+from clonehunter_ray.util import cached_stage
 
 SIGNATURE_META_COLS = [
     "snippet_id",
@@ -80,7 +85,8 @@ def _list_from_matrix_u64(mat: np.ndarray) -> pa.Array:
 
 
 class SignatureStage:
-    """Stateful per-actor signature computer (one MinHasher per actor)."""
+    """Stateful signature computer: one MinHasher per instance, reused
+    for every batch (``signatures_task`` keeps one per worker process)."""
 
     def __init__(
         self,
@@ -135,3 +141,11 @@ class SignatureStage:
             tset_counts.astype(np.int32), pa.int32()
         )
         return pa.table(cols)
+
+
+def signatures_task(
+    batch: pa.Table, config: SignatureConfig, emit_token_seq: bool = False
+) -> pa.Table:
+    """``map_batches`` task form of ``SignatureStage``: one stage per
+    ``(config, emit_token_seq)`` per worker process (util.cached_stage)."""
+    return cached_stage(SignatureStage, config, emit_token_seq)(batch)

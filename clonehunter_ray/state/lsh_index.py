@@ -58,7 +58,7 @@ class _LshIndexShard:
     """One hash shard: band postings + payload blobs + local verify.
 
     num_cpus=0: the shards are a long-lived state service that must
-    coexist with the signature actor pool and Ray Data's read/sort
+    coexist with the signature tasks and Ray Data's read/sort
     tasks inside the same CPU budget — N shards each holding a full
     logical CPU deadlocks a small session (4 shards = the whole 4-CPU
     test cluster) before the ingest pipeline can start. Their verify

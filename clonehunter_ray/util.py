@@ -240,13 +240,36 @@ def silence_empty_schema_warnings() -> None:
         lg.addFilter(_EmptySchemaBundleFilter())
 
 
+# (stage class, *constructor args) -> instance, per worker process
+_STAGES: dict[tuple, object] = {}
+# distinct stages one process keeps before the cache starts over (each
+# may hold an 8 MB MinHash scratch buffer)
+_STAGES_MAX = 8
+
+
+def cached_stage(cls, *args):
+    """``cls(*args)``, built once per process: the stateful half of a
+    ``map_batches`` task whose state is cheap tables (MinHash
+    permutations, scratch buffers). Ray reuses task workers, so the
+    state is paid once per worker process, as in an actor pool, while
+    the stage still runs as plain tasks on every CPU. ``args`` key the
+    cache and must be hashable (frozen configs, tuples)."""
+    key = (cls, *args)
+    stage = _STAGES.get(key)
+    if stage is None:
+        if len(_STAGES) >= _STAGES_MAX:
+            _STAGES.clear()
+        stage = _STAGES[key] = cls(*args)
+    return stage
+
+
 def auto_actor_count(reserve: int = 2, cap: int | None = None) -> int:
     """Size an actor pool to the cluster: CPUs minus ``reserve`` slots
     left for feeder/read tasks (min 2, but never every CPU: from 2 CPUs
     up at least one stays free, or the pool starves the read tasks
-    feeding it and the pipeline hangs). A fixed small constant (the
-    easy default) caps the whole fused stage at that parallelism no
-    matter how many cores the cluster has."""
+    feeding it and the pipeline hangs). Its users are the model-holding
+    stages, ``classifier`` and ``bpe``; stages whose only state is small
+    tables run as tasks over ``cached_stage`` instead."""
     import ray
 
     try:

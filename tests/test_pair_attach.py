@@ -163,6 +163,47 @@ def test_attach_by_key_string_key_two_on_columns(ray_session, monkeypatch, how):
 
 
 @pytest.mark.parametrize("how", ["inner", "left"])
+def test_attach_by_key_list_columns_paths_agree(ray_session, monkeypatch, how):
+    """list<string> columns on either side (the findings' ``reasons``)
+    cross the join path packed and come back equal to the broadcast
+    path's, empty and null lists included."""
+    rows = pa.table(
+        {
+            "k": pa.array([3, 1, 7, 2], pa.int64()),
+            "reasons": pa.array(
+                [["func", "lexical"], [], None, ["win"]], pa.list_(pa.string())
+            ),
+        }
+    )
+    side = pa.table(
+        {
+            "key": pa.array([1, 2, 3], pa.int64()),
+            "tags": pa.array([["a"], ["b", "c"], []], pa.list_(pa.string())),
+        }
+    )
+
+    def attach() -> pa.Table:
+        out = candidates.attach_by_key(
+            ray.data.from_arrow(rows),
+            ray.data.from_arrow(side),
+            "key",
+            ["tags"],
+            on="k",
+            how=how,
+            num_partitions=2,
+        )
+        return pa.concat_tables(ray.get(out.to_arrow_refs())).sort_by("k")
+
+    bcast = attach()
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
+    joined = attach().select(bcast.column_names)
+    assert joined.equals(bcast)
+    assert bcast["k"].to_pylist() == ([1, 2, 3, 7] if how == "left" else [1, 2, 3])
+    assert bcast["reasons"].to_pylist()[:3] == [[], ["win"], ["func", "lexical"]]
+    assert bcast["tags"].to_pylist()[:3] == [["a"], ["b", "c"], []]
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
 @pytest.mark.parametrize("max_rows", [2_000_000, 0])
 def test_attach_by_key_empty_side_is_typed(ray_session, monkeypatch, how, max_rows):
     """An empty side gives a typed result on both paths: typed by Ray's

@@ -43,10 +43,7 @@ def main() -> None:
     )
 
     files_path = corpus_path(n_files)
-    actors = int(sys.argv[3]) if len(sys.argv) > 3 else 0
-    from clonehunter_ray.config import ExecConfig
-
-    cfg = EngineConfig(exec=ExecConfig(signature_actors=actors))
+    cfg = EngineConfig()
 
     def read():
         # corpus-sized blocks (~400 files/block), same policy as bench.py
