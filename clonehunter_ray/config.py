@@ -170,7 +170,6 @@ class ExecConfig:
     """Ray Data execution knobs, sized for a multi-node cluster but
     testable single-node."""
 
-    batch_size: int = 2048
     # rows per task bundle for the fused files->signatures prefix. This
     # counts FILE rows (the operator's input), and one task = one
     # bundle: 2048 would cap a 20k-file corpus at 10 parallel tasks no

@@ -301,10 +301,8 @@ def minhash_dedup_keep(
     (doc in no pair, cluster_id -1) or (doc_id == cluster_id)."""
     import pyarrow.compute as pc
 
-    from clonehunter_ray.stages.clustering import (
-        attach_labels,
-        connected_components,
-    )
+    from clonehunter_ray.stages.candidates import attach_by_key
+    from clonehunter_ray.stages.clustering import connected_components
 
     labels = connected_components(
         minhash_dedup_pairs(docs_ds, threshold, config), columns=("a_id", "b_id")
@@ -320,8 +318,14 @@ def minhash_dedup_keep(
             }
         )
 
-    return attach_labels(
-        docs_ds.select_columns(["doc_id"]), labels, "doc_id"
+    return attach_by_key(
+        docs_ds.select_columns(["doc_id"]),
+        labels,
+        "unit_id",
+        ["label"],
+        on="doc_id",
+        how="left",
+        schema=pa.schema([("unit_id", pa.int64()), ("label", pa.int64())]),
     ).map_batches(finish, batch_format="pyarrow")
 
 
@@ -418,11 +422,11 @@ def minhash_dedup_keep_best(
     1. cluster labels from ``minhash_dedup_keep`` (the one
        connected-components routine; cluster_id = min doc_id);
     2. per-doc quality scored inside ``map_batches``;
-    3. label + quality attached with ONE partitioned hash join;
+    3. quality attached to the labels by ``attach_by_key`` on doc_id;
     4. per-cluster winner via map-side partial argmax (one candidate
        row per cluster per block) -> tiny global groupby — only
        cluster-count rows cross the final shuffle;
-    5. winners re-attached by a partitioned left-outer join on
+    5. winners attached back by a left ``attach_by_key`` on
        cluster_id; unclustered docs (cluster_id == -1) always keep.
 
     Returns (doc_id:int64, cluster_id:int64, quality:float64,
@@ -431,7 +435,7 @@ def minhash_dedup_keep_best(
     import pyarrow.compute as pc
 
     from clonehunter_ray.pipelines.text_analysis import quality_scores_batch
-    from clonehunter_ray.util import safe_join, safe_join_partitions
+    from clonehunter_ray.stages.candidates import attach_by_key
 
     base = minhash_dedup_keep(docs_ds, threshold, config).select_columns(
         ["doc_id", "cluster_id"]
@@ -444,9 +448,7 @@ def minhash_dedup_keep_best(
         ) * q["distinct_ratio"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                # q_-prefixed: Ray's hash join needs distinct key names
-                # on the two sides
-                "q_doc_id": q["doc_id"].cast(pa.int64()),
+                "doc_id": q["doc_id"].cast(pa.int64()),
                 "quality": pa.array(quality, pa.float64()),
             }
         )
@@ -454,26 +456,21 @@ def minhash_dedup_keep_best(
     quality = docs_ds.select_columns(["doc_id", "text"]).map_batches(
         score, batch_format="pyarrow"
     )
-    nj = safe_join_partitions(num_partitions)
-    labeled = (
-        safe_join(
-            base, quality, "inner", nj, on=("doc_id",), right_on=("q_doc_id",)
-        )
-        .select_columns(["doc_id", "cluster_id", "quality"])
-        # consumed twice (winner partials + final attach): materialize
-        # the NARROW table (3 scalar cols, ~20 B/row — spills fine)
-        # instead of executing the label+quality join twice
-        .materialize()
-    )
+    # consumed twice (winner partials + final attach): materialize the
+    # NARROW table (3 scalar cols, ~20 B/row — spills fine) instead of
+    # executing the label+quality attach twice
+    labeled = attach_by_key(
+        base, quality, "doc_id", ["quality"], on="doc_id",
+        num_partitions=num_partitions,
+    ).materialize()
 
     # ONE schema for the partials AND the reduce output: Ray's groupby
     # emits empty partitions with the pre-group schema without calling
-    # the UDF, and the downstream join concatenates right-side blocks —
-    # any schema drift between UDF blocks and passed-through empties
-    # breaks it. best_quality rides along (harmlessly) for that reason.
+    # the UDF, so a UDF block must not drift from it. best_quality is
+    # the reduce's input.
     _WINNER_SCHEMA = pa.schema(
         [
-            ("w_cluster_id", pa.int64()),
+            ("cluster_id", pa.int64()),
             ("best_doc", pa.int64()),
             ("best_quality", pa.float64()),
         ]
@@ -488,7 +485,7 @@ def minhash_dedup_keep_best(
         take = order[first]
         return pa.table(
             {
-                "w_cluster_id": pa.array(cl[take], pa.int64()),
+                "cluster_id": pa.array(cl[take], pa.int64()),
                 "best_doc": pa.array(ids[take], pa.int64()),
                 "best_quality": pa.array(qv[take], pa.float64()),
             }
@@ -509,34 +506,27 @@ def minhash_dedup_keep_best(
         if group.num_rows == 0:
             return _WINNER_SCHEMA.empty_table()
         return _first_per_cluster(
-            group["w_cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64),
+            group["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64),
             group["best_doc"].to_numpy(zero_copy_only=False).astype(np.int64),
             group["best_quality"].to_numpy(zero_copy_only=False),
         )
 
     winners = (
         labeled.map_batches(partial_best, batch_format="pyarrow")
-        .groupby("w_cluster_id")
+        .groupby("cluster_id")
         .map_groups(global_best, batch_format="pyarrow")
-        # Ray's map_groups emits ZERO-SCHEMA empty blocks for empty sort
-        # partitions and map_batches skips empty blocks, so the schema
-        # can't be repaired in-stream; repartition rebuilds blocks from
-        # rows, dropping the poisoned empties before the hash join.
-        # Winners are one row per cluster — the repartition is tiny.
-        .repartition(nj)
     )
-
-    from clonehunter_ray.util import left_attach_or_nulls
-
-    # a dup-free corpus has NO clusters -> winners is globally empty,
-    # which crashes Ray's hash join (see util.left_attach_or_nulls)
-    out = left_attach_or_nulls(
+    # a dup-free corpus has no clusters, so no winners: attach_by_key
+    # gives every row a null best_doc
+    out = attach_by_key(
         labeled,
         winners,
-        nj,
-        on=("cluster_id",),
-        right_on=("w_cluster_id",),
-        right_schema=_WINNER_SCHEMA,
+        "cluster_id",
+        ["best_doc"],
+        on="cluster_id",
+        how="left",
+        num_partitions=num_partitions,
+        schema=_WINNER_SCHEMA,
     )
 
     def finish(batch: pa.Table) -> pa.Table:

@@ -295,8 +295,8 @@ def passage_dedup_documents(
     fraction (union of flagged spans), plus the C4-style keep decision
     ``dup_frac < max_dup_frac``. Docs with no flagged span keep with
     dup_frac 0 — the span rows are aggregated per doc (ints only) and
-    anti-joined back to the corpus ids via one small broadcast-less
-    left join on doc_id."""
+    attached back onto the corpus ids by one left ``attach_by_key`` on
+    doc_id."""
     pairs = passage_dup_span_pairs(docs_ds, min_len=min_len, **kwargs)
     # the summary join scales with the same knob as every other
     # exchange in this pipeline (previously hardcoded to 16)
@@ -332,7 +332,7 @@ def passage_dedup_documents(
                 "doc_id": t["doc_id"].cast(pa.int64()),
                 # count-only: token COUNTS need the Arrow split
                 # chain, not the per-unique blake2b hashing pass
-                "n_tokens_all": pa.array(
+                "n_tokens": pa.array(
                     np.bincount(
                         H.flat_tokens(t["text"])[1], minlength=t.num_rows
                     ).astype(np.int64),
@@ -342,23 +342,24 @@ def passage_dedup_documents(
         ),
         batch_format="pyarrow",
     )
-    from clonehunter_ray.util import left_attach_or_nulls
+    from clonehunter_ray.stages.candidates import attach_by_key
 
-    # a span-dup-free corpus means flagged is GLOBALLY empty, which
-    # crashes Ray's hash join (see util.left_attach_or_nulls)
-    joined = left_attach_or_nulls(
+    # a span-dup-free corpus leaves flagged empty; schema= types it
+    joined = attach_by_key(
         ids,
         flagged,
-        num_partitions,
-        on=("doc_id",),
-        right_on=("doc_id",),
-        right_schema=_SUMMARY_SCHEMA,
+        "doc_id",
+        ["dup_tokens", "dup_frac", "keep"],
+        on="doc_id",
+        how="left",
+        num_partitions=num_partitions,
+        schema=_SUMMARY_SCHEMA,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        n_tok = pc.cast(batch["n_tokens_all"], pa.int64())
+        n_tok = pc.cast(batch["n_tokens"], pa.int64())
         dup = pc.fill_null(batch["dup_tokens"], 0)
         frac = pc.fill_null(batch["dup_frac"], 0.0)
         keep = pc.fill_null(batch["keep"], True)

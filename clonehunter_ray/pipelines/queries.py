@@ -451,10 +451,8 @@ def duplicate_clusters_documents(
     (ngram_jaccard_pairs' SQL), so label parity pins the routine
     end-to-end, not just on synthetic pytest graphs. Docs in no edge
     keep their own id."""
-    from clonehunter_ray.stages.clustering import (
-        attach_labels,
-        connected_components,
-    )
+    from clonehunter_ray.stages.candidates import attach_by_key
+    from clonehunter_ray.stages.clustering import connected_components
 
     labels = connected_components(
         ngram_jaccard_pairs(sf_dir, threshold=threshold, max_id=max_id),
@@ -476,9 +474,15 @@ def duplicate_clusters_documents(
             }
         )
 
-    return attach_labels(docs, labels, "doc_id").map_batches(
-        finish, batch_format="pyarrow"
-    )
+    return attach_by_key(
+        docs,
+        labels,
+        "unit_id",
+        ["label"],
+        on="doc_id",
+        how="left",
+        schema=pa.schema([("unit_id", pa.int64()), ("label", pa.int64())]),
+    ).map_batches(finish, batch_format="pyarrow")
 
 
 def ensemble_dup_pairs(
@@ -2757,7 +2761,7 @@ def customers_without_orders_bloom(sf_dir: str, n_bits: int = 1 << 20):
     import pyarrow.compute as pc
 
     from clonehunter_ray.functions import sketches as SK
-    from clonehunter_ray.util import safe_join_partitions
+    from clonehunter_ray.stages.candidates import attach_by_key
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
@@ -2837,19 +2841,16 @@ def customers_without_orders_bloom(sf_dir: str, n_bits: int = 1 << 20):
         .groupby("o_custkey")
         .aggregate(Count(alias_name="n_o"))
     )
-    from clonehunter_ray.util import left_attach_or_nulls
-
-    # zero urgent orders -> dist is GLOBALLY empty, which crashes
-    # Ray's hash join (see util.left_attach_or_nulls)
-    joined = left_attach_or_nulls(
+    # zero urgent orders leave dist empty: Ray reports no schema for
+    # it, so schema= types n_o
+    joined = attach_by_key(
         maybes,
         dist,
-        16,
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-        right_schema=pa.schema(
-            [("o_custkey", pa.int64()), ("n_o", pa.int64())]
-        ),
+        "o_custkey",
+        ["n_o"],
+        on="c_custkey",
+        how="left",
+        schema=pa.schema([("o_custkey", pa.int64()), ("n_o", pa.int64())]),
     )
 
     def keep_unmatched(batch: pa.Table) -> pa.Table:
@@ -3120,13 +3121,14 @@ def decontaminate_documents_distributed(
     pre-aggregates (gram, doc_id) -> instance count per batch (docs
     live in one block, so batch partials are exact), the bench side
     reduces to its distinct grams with a groupby. One inner hash join
-    on the gram key, then a per-doc sum and a left join back onto the
-    full doc list to fill zeros. Same oracle SQL as the broadcast
-    path — the two shapes must agree bit-for-bit.
+    on the gram key, then a per-doc sum attached back onto the full doc
+    list by a left ``attach_by_key`` to fill zeros. Same oracle SQL as
+    the broadcast path — the two shapes must agree bit-for-bit.
     """
     import pyarrow.compute as pc
 
-    from clonehunter_ray.util import safe_join_partitions
+    from clonehunter_ray.stages.candidates import attach_by_key
+    from clonehunter_ray.util import safe_join, safe_join_partitions
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -3155,7 +3157,7 @@ def decontaminate_documents_distributed(
             return pa.table(
                 {
                     "gram": pa.array([], pa.int64()),
-                    "t_doc": pa.array([], pa.int64()),
+                    "doc_id": pa.array([], pa.int64()),
                     "cnt": pa.array([], pa.int64()),
                 }
             )
@@ -3171,38 +3173,32 @@ def decontaminate_documents_distributed(
         return pa.table(
             {
                 "gram": pa.array(g_s[starts].view(np.int64), pa.int64()),
-                "t_doc": pa.array(doc_ids[r_s[starts]], pa.int64()),
+                "doc_id": pa.array(doc_ids[r_s[starts]], pa.int64()),
                 "cnt": pa.array(cnt, pa.int64()),
             }
         )
 
     train_rows = train.map_batches(train_grams, batch_format="pyarrow")
     nparts = safe_join_partitions(16)
-    from clonehunter_ray.util import safe_join
-
     hit_rows = safe_join(
         train_rows, bench_set, "inner", nparts, on=("gram",), right_on=("gram",)
     )
     hits = (
-        hit_rows.select_columns(["t_doc", "cnt"])
-        .groupby("t_doc")
+        hit_rows.select_columns(["doc_id", "cnt"])
+        .groupby("doc_id")
         .aggregate(Sum("cnt", alias_name="n_hits"))
     )
-    train_ids = train.select_columns(["doc_id"])
-    from clonehunter_ray.util import left_attach_or_nulls
-
-    # a contamination-free corpus leaves hits GLOBALLY empty, which
-    # crashes Ray's hash join (see util.left_attach_or_nulls); hits is
-    # one narrow row per contaminated doc, so the count gate is cheap
-    out = left_attach_or_nulls(
-        train_ids,
+    # a contamination-free corpus leaves hits empty: Ray reports no
+    # schema for it, so schema= types n_hits
+    out = attach_by_key(
+        train.select_columns(["doc_id"]),
         hits,
-        nparts,
-        on=("doc_id",),
-        right_on=("t_doc",),
-        right_schema=pa.schema(
-            [("t_doc", pa.int64()), ("n_hits", pa.int64())]
-        ),
+        "doc_id",
+        ["n_hits"],
+        on="doc_id",
+        how="left",
+        num_partitions=nparts,
+        schema=pa.schema([("doc_id", pa.int64()), ("n_hits", pa.int64())]),
     )
 
     def finish(batch: pa.Table) -> pa.Table:

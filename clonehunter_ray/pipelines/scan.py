@@ -16,10 +16,12 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       -> map_batches(pre_gate_pairs_indexed)  # size/kind upper-bound mask
       -> dedupe_pairs                         # (a,b) hash partition + group_by
       -> map_batches(take payloads by sid)
-      -- above it (string ids, partitioned joins):
+      -- above it (string ids):
       -> band_pairs(explode_bands)            # band shuffle + emit + dedupe
-      -> join(narrow a_*, b_*) -> pre_gate_pairs_joined
-      -> join(payload a_*) -> join(payload b_*)
+      -> prune signatures to paired ids       # semi-join, pair-bounded
+      -> attach_pair_payload(kind, sizes)     # narrow a_*, b_* columns
+      -> map_batches(pre_gate_pairs)          # the same size/kind mask
+      -> attach_pair_payload(payload)         # gate survivors only
       -> map_batches(verify_pairs)            # exact Jaccard + filters
       [checkpoint: pairs]
       -> groupby(pair_key).map_groups(rollup) # finding aggregation
@@ -40,10 +42,14 @@ import ray.data
 from clonehunter_ray.config import EngineConfig
 from clonehunter_ray.stages import clustering as C
 from clonehunter_ray.stages.candidates import (
+    attach_pair_payload,
     band_pairs,
     dedupe_pairs,
     emit_pairs_partition,
     explode_bands,
+    fits_broadcast,
+    pre_gate_pairs,
+    pre_gate_pairs_indexed,
 )
 from clonehunter_ray.stages.extract import add_content_sha256, extract_units_batch
 from clonehunter_ray.stages.signatures import signatures_task
@@ -51,9 +57,9 @@ from clonehunter_ray.stages.snippets import generate_snippets_batch
 from clonehunter_ray.stages.verify import verify_pairs_batch
 from clonehunter_ray.state import checkpoint as ckpt
 
-# columns each join side must carry into verification
+# columns each pair side carries into verification, attached by
+# snippet_id
 _JOIN_PAYLOAD = [
-    "snippet_id",
     "kind",
     "unit_id",
     "path",
@@ -71,7 +77,7 @@ _JOIN_PAYLOAD = [
 
 # Join path only: when the deduped pair table has at most this many
 # rows, its distinct snippet-id set is broadcast once and the signature
-# side is FILTERED to paired ids before the four hash joins (measured
+# side is FILTERED to paired ids before the payload attaches (measured
 # 400k files: 157k pairs vs 2.83M signatures — the unpruned joins
 # shipped 89% dead payload). Above it the id set stops being
 # broadcastable and the joins run unpruned. 20M pairs ~= 2.5 GB of
@@ -108,6 +114,21 @@ def _join_payload(config: EngineConfig) -> list[str]:
     return _JOIN_PAYLOAD
 
 
+def _gate_kwargs(config: EngineConfig) -> dict:
+    return {
+        "thresholds": config.thresholds,
+        "substr_floor": config.substring.floor if config.substring.enabled else None,
+    }
+
+
+def _verified(pairs: "ray.data.Dataset", config: EngineConfig) -> "ray.data.Dataset":
+    return pairs.map_batches(
+        verify_pairs_batch,
+        fn_kwargs={"thresholds": config.thresholds, "substring": config.substring},
+        batch_format="pyarrow",
+    )
+
+
 @dataclass
 class ScanResult:
     files: "ray.data.Dataset"
@@ -123,16 +144,6 @@ class ScanResult:
     # scan() returns still reaches a live actor (killing it inside
     # scan() failed those tasks with RayActorError)
     metrics_actor: object = None
-
-
-def _prefixed(
-    ds: "ray.data.Dataset", prefix: str, cols: list[str]
-) -> "ray.data.Dataset":
-    def _rename(t):
-        t = t.select(cols)
-        return t.rename_columns([f"{prefix}{c}" for c in cols])
-
-    return ds.map_batches(_rename, batch_format="pyarrow")
 
 
 def build_prefix(
@@ -205,13 +216,13 @@ def build_pairs(
     limit binds first) the payload table is broadcast ONCE and the
     band shuffle moves (band_key:u64, sid:i32) rows — ~12 bytes
     instead of a ~64-byte snippet-id string, the pipeline's dominant
-    shuffle volume. Otherwise string ids flow and two partitioned hash
-    joins attach the payloads. The decision and its inputs land in
+    shuffle volume. Otherwise string ids flow, and ``attach_pair_payload``
+    attaches the narrow gate columns, then (to gate survivors) the
+    payload, each behind the same rule on the signature side left after
+    the pair-id prune. The decision and its inputs land in
     ``plan`` (when given): ``path``, ``snippets``, ``bytes`` and
     ``pair_id_prune``.
     """
-    from clonehunter_ray.stages.candidates import fits_broadcast
-
     cap = config.signature.max_bucket_pairs_full
     payload_cols = _join_payload(config)
 
@@ -245,7 +256,7 @@ def build_pairs(
             signatures, config, cap, nparts, payload_cols, metrics
         )
 
-    # scale path: string ids + partitioned hash joins
+    # scale path: string ids, payloads attached by snippet_id
     deduped = band_pairs(
         signatures.select_columns(["snippet_id", "band_keys"]).map_batches(
             explode_bands,
@@ -261,35 +272,14 @@ def build_pairs(
             metrics,
         ),
         nparts,
-    )
-
-    # narrow pre-gate joins (kind + sizes only, ~20 bytes/row) so the
-    # HEAVY payload joins (shingle/token blobs) move only gate
-    # survivors — the scale-path twin of the broadcast path's
-    # pre_gate_pairs_indexed
-    from clonehunter_ray.stages.candidates import pre_gate_pairs_joined
-    from clonehunter_ray.util import safe_join, safe_join_partitions
-
-    th = config.thresholds
-    narrow_cols = ["snippet_id", "kind", "n_shingles", "n_tokens"]
-
-    # zero candidate pairs (clone-free corpus above the broadcast
-    # cutover) leave the join's left sequence globally empty, which
-    # crashes Ray's hash join (util.left_attach_or_nulls documents the
-    # mechanism); the pair table is ids-only and capped by the banding
-    # accountant, so the gating materialize is cheap
-    from clonehunter_ray.stages.verify import PAIRS_SCHEMA
-
-    deduped = deduped.materialize()
+    ).materialize()
     n_pairs = deduped.count()
-    if n_pairs == 0:
-        return ray.data.from_arrow(PAIRS_SCHEMA.empty_table())
 
     # semi-join prune (PAIR_ID_PRUNE_MAX_PAIRS): only snippet ids that
-    # appear in a surviving band pair can contribute to ANY of the four
-    # joins below, and the pair table is capped by the banding
+    # appear in a surviving band pair can contribute to EITHER attach
+    # below, and the pair table is capped by the banding
     # accountant while signatures are corpus-scale
-    plan["pair_id_prune"] = n_pairs <= PAIR_ID_PRUNE_MAX_PAIRS
+    plan["pair_id_prune"] = 0 < n_pairs <= PAIR_ID_PRUNE_MAX_PAIRS
     if plan["pair_id_prune"]:
         import pyarrow as pa
         import pyarrow.compute as pc
@@ -323,52 +313,32 @@ def build_pairs(
             wanted = ray.get(ids_ref)
             return t.filter(pc.is_in(t["snippet_id"], value_set=wanted))
 
-        # ONE filter pass, materialized: the four joins below each
-        # consume the signature side, and feeding them through four
-        # lazy filter chains re-streamed the full payload per join
-        # (measured: the heavy joins DOUBLED, 39.7 -> 83.8 s). The
-        # pruned table is pair-bounded (~11% of signatures at 400k
-        # files), so pinning it is cheap and every join reads the
-        # small blocks directly from plasma.
+        # ONE filter pass, materialized: both attaches below consume
+        # the signature side, and feeding each its own lazy filter
+        # chain re-streamed the full payload per join (measured: the
+        # heavy joins DOUBLED, 39.7 -> 83.8 s). The pruned table is
+        # pair-bounded (~11% of signatures at 400k files), so pinning
+        # it is cheap.
         signatures = signatures.map_batches(
             _only_paired, batch_format="pyarrow", batch_size=8192
         ).materialize()
 
-    nj = safe_join_partitions(nparts)
+    # narrow attach (kind + sizes, ~20 bytes/row) and the size/kind
+    # gate first, so the heavy payload attach (shingle/token blobs)
+    # moves only gate survivors, not the ~12x band-duplicated candidates
     gated = (
-        safe_join(
-            safe_join(
-                deduped,
-                _prefixed(signatures, "a_", narrow_cols),
-                "inner", nj, on=("a_id",), right_on=("a_snippet_id",),
-            ),
-            _prefixed(signatures, "b_", narrow_cols),
-            "inner", nj, on=("b_id",), right_on=("b_snippet_id",),
+        attach_pair_payload(
+            deduped, signatures, "snippet_id", ["kind", "n_shingles", "n_tokens"],
+            nparts,
         )
         .map_batches(
-            pre_gate_pairs_joined,
-            fn_kwargs={
-                "gates": (th.func, th.win, th.exp),
-                "lexical_weight": th.lexical_weight,
-                "lexical_min_ratio": th.lexical_min_ratio,
-                "substr_floor": (
-                    config.substring.floor if config.substring.enabled else None
-                ),
-            },
-            batch_format="pyarrow",
+            pre_gate_pairs, fn_kwargs=_gate_kwargs(config), batch_format="pyarrow"
         )
         .select_columns(["a_id", "b_id", "capped"])
     )
-    joined = _attach_payload_join(
-        gated, signatures, config, payload_cols, nparts=nparts
-    )
-    return joined.map_batches(
-        verify_pairs_batch,
-        fn_kwargs={
-            "thresholds": config.thresholds,
-            "substring": config.substring,
-        },
-        batch_format="pyarrow",
+    return _verified(
+        attach_pair_payload(gated, signatures, "snippet_id", payload_cols, nparts),
+        config,
     )
 
 
@@ -403,7 +373,9 @@ def _pairs_broadcast(
     # heavy blob combine runs late and contends with the pipeline,
     # while the single combine (num_cpus=0, starts the moment the
     # signature blocks exist) overlaps for free.
-    ref = make_broadcast_handle(signatures, payload_cols, "snippet_id")
+    ref = make_broadcast_handle(
+        signatures, ["snippet_id", *payload_cols], "snippet_id"
+    )
 
     # packed band shuffle: each explode task pre-splits its band rows
     # by part and ships P blob rows, so the groupby sort handles
@@ -435,20 +407,9 @@ def _pairs_broadcast(
     # columns whose verdict is identical for every duplicate — gating
     # first shrinks the dedup shuffle's input ~13x (emit output ->
     # gate survivors), where gating after only shrank the attach.
-    from clonehunter_ray.stages.candidates import pre_gate_pairs_indexed
-
-    th = config.thresholds
     candidates = candidates.map_batches(
         pre_gate_pairs_indexed,
-        fn_kwargs={
-            "index_ref": ref,
-            "gates": (th.func, th.win, th.exp),
-            "lexical_weight": th.lexical_weight,
-            "lexical_min_ratio": th.lexical_min_ratio,
-            "substr_floor": (
-                config.substring.floor if config.substring.enabled else None
-            ),
-        },
+        fn_kwargs={"index_ref": ref, **_gate_kwargs(config)},
         batch_format="pyarrow",
     )
     deduped = dedupe_pairs(candidates, nparts)
@@ -465,49 +426,11 @@ def _pairs_broadcast(
             "capped": batch["capped"],
         }
         for cname in payload_cols:
-            if cname == "snippet_id":
-                continue
             cols[f"a_{cname}"] = a_side[cname]
             cols[f"b_{cname}"] = b_side[cname]
         return pa.table(cols)
 
-    return deduped.map_batches(_attach, batch_format="pyarrow").map_batches(
-        verify_pairs_batch,
-        fn_kwargs={
-            "thresholds": config.thresholds,
-            "substring": config.substring,
-        },
-        batch_format="pyarrow",
-    )
-
-
-def _attach_payload_join(
-    deduped: "ray.data.Dataset",
-    signatures: "ray.data.Dataset",
-    config: EngineConfig,
-    payload_cols: list[str],
-    nparts: int | None = None,
-) -> "ray.data.Dataset":
-    """Scale path: two partitioned hash joins pull each side's
-    signature payload onto the pair rows. ``nparts`` carries the
-    corpus-autoscaled band partition count from build_pairs — the
-    payload side is the corpus-sized signature table, so it must scale
-    with the same driver (a fixed 16 here would hold ~1/16 of a
-    corpus-scale blob table per join aggregator)."""
-    from clonehunter_ray.util import safe_join, safe_join_partitions
-
-    nparts = safe_join_partitions(
-        nparts or config.exec.shuffle_partitions or 16
-    )
-    sig_a = _prefixed(signatures, "a_", payload_cols)
-    sig_b = _prefixed(signatures, "b_", payload_cols)
-    return safe_join(
-        safe_join(
-            deduped, sig_a, "inner", nparts,
-            on=("a_id",), right_on=("a_snippet_id",),
-        ),
-        sig_b, "inner", nparts, on=("b_id",), right_on=("b_snippet_id",),
-    )
+    return _verified(deduped.map_batches(_attach, batch_format="pyarrow"), config)
 
 
 def build_findings(

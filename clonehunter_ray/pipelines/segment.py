@@ -14,8 +14,8 @@ Complements the dedup family: doc-level exact (queries.exact_dedup),
 doc-level near (dedup.minhash_*), span-level verbatim (passage.*) —
 this is the segment-level exact member, the one C4 actually shipped.
 
-Ray shape (ids/hashes only through the wide steps; text shuffles once,
-in the final small left-join):
+Ray shape (ids/hashes only through the wide steps; text shuffles at
+most once, in the final left attach):
 
 1. explode   — stateless map: single-space split (Arrow kernels),
    per-unique-token blake2b-128 via dictionary_encode, order-sensitive
@@ -29,12 +29,14 @@ in the final small left-join):
    Only DUPLICATE rows ship onward (kept is the default).
 3. collect   — duplicates grouped per doc into an idx list
    (doc-partitioned, same map_groups shape).
-4. reassemble— docs LEFT JOIN dup-lists (util.safe_join), then one
-   stateless pass re-splits each doc and drops the flagged segments.
+4. reassemble— dup-lists attached onto docs by a left
+   ``attach_by_key`` (broadcast, or a doc-partitioned join past the
+   cutover), then one stateless pass re-splits each doc and drops the
+   flagged segments.
 
 Partitioning at 100 TB: stages 2-3 move 24-byte rows; stage 3 moves
 only duplicate instances (bounded by the dup rate, not the corpus);
-the join in stage 4 is doc-partitioned with text on exactly one side.
+a join in stage 4 is doc-partitioned with text on exactly one side.
 ``packed`` bounds: doc_id < 2^43 and < 2^20 segments per document
 (~10M tokens at the default width) — violated input raises loudly.
 """
@@ -55,7 +57,7 @@ _DUP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("seg_idx", pa.int64())])
 # dup_idxs rides as a little-endian int64 blob: Acero hash joins
 # reject list-typed non-key fields, binary payloads join fine
 _DUP_LIST_SCHEMA = pa.schema(
-    [("d_id", pa.int64()), ("dup_idxs", pa.binary())]
+    [("doc_id", pa.int64()), ("dup_idxs", pa.binary())]
 )
 _OUT_SCHEMA = pa.schema(
     [
@@ -180,7 +182,7 @@ def _flag_dups_partition(partition: pa.Table) -> pa.Table:
 
 
 def _pack_dup_lists_partition(partition: pa.Table) -> pa.Table:
-    """One doc-partition of (doc_id, seg_idx) -> (d_id, dup_idxs)."""
+    """One doc-partition of (doc_id, seg_idx) -> (doc_id, dup_idxs)."""
     if partition.num_rows == 0:
         return _DUP_LIST_SCHEMA.empty_table()
     ids = partition["doc_id"].to_numpy(zero_copy_only=False)
@@ -195,7 +197,7 @@ def _pack_dup_lists_partition(partition: pa.Table) -> pa.Table:
     ]
     return pa.table(
         {
-            "d_id": pa.array(ids[starts], pa.int64()),
+            "doc_id": pa.array(ids[starts], pa.int64()),
             "dup_idxs": pa.array(blobs, pa.binary()),
         },
         schema=_DUP_LIST_SCHEMA,
@@ -209,10 +211,8 @@ def segment_dedup(
 ) -> "ray.data.Dataset":
     """Corpus-wide keep-first exact dedup at fixed-token-segment
     granularity -> (doc_id, n_segments, n_dup_segments, dedup_text)."""
-    from clonehunter_ray.util import (
-        left_attach_or_nulls,
-        safe_join_partitions,
-    )
+    from clonehunter_ray.stages.candidates import attach_by_key
+    from clonehunter_ray.util import safe_join_partitions
 
     nparts = safe_join_partitions(num_partitions)
 
@@ -252,15 +252,16 @@ def segment_dedup(
         .map_groups(_pack_dup_lists_partition, batch_format="pyarrow")
     )
 
-    # dup-free corpus -> dup_lists is GLOBALLY empty, which crashes
-    # Ray's hash join (see util.left_attach_or_nulls)
-    joined = left_attach_or_nulls(
+    # a dup-free corpus leaves dup_lists empty; schema= types it
+    joined = attach_by_key(
         docs_ds.select_columns(["doc_id", "text"]),
         dup_lists,
-        nparts,
-        on=("doc_id",),
-        right_on=("d_id",),
-        right_schema=_DUP_LIST_SCHEMA,
+        "doc_id",
+        ["dup_idxs"],
+        on="doc_id",
+        how="left",
+        num_partitions=nparts,
+        schema=_DUP_LIST_SCHEMA,
     )
 
     def reassemble(batch: pa.Table) -> pa.Table:

@@ -30,7 +30,13 @@ stop-shingle handling.
 
 Payloads never ride the band shuffle: pairs carry ids only, and the
 payload columns attach afterwards (``attach_pair_payload``, broadcast
-or partitioned join behind the one ``fits_broadcast`` rule).
+or partitioned join behind the one ``fits_broadcast`` rule). Every
+other keyed lookup of the engine (dimension and vocabulary lookups,
+cluster ids and component labels, winner and summary left attaches) is
+the same ``attach_by_key``. The scan drops pairs that cannot verify
+before the payload attach with ``verify.size_kind_gate``, fed from
+the broadcast payload by sid (``pre_gate_pairs_indexed``) or from
+attached narrow columns (``pre_gate_pairs``).
 """
 
 from __future__ import annotations
@@ -629,103 +635,54 @@ _DERIVED_CACHE: dict[tuple, tuple] = {}
 
 
 def pre_gate_pairs_indexed(
-    batch: pa.Table,
-    index_ref,
-    gates: tuple[float, float, float],  # func, win, exp thresholds
-    lexical_weight: float,
-    lexical_min_ratio: float,
-    substr_floor: float | None,
+    batch: pa.Table, index_ref, thresholds, substr_floor: float | None
 ) -> pa.Table:
-    """Vectorized candidate pre-gate BEFORE payload attach.
+    """``verify.size_kind_gate`` over int-sid pairs, fed from the
+    broadcast payload's ``n_shingles`` / ``n_tokens`` / ``kind`` columns
+    gathered by sid (the per-sid arrays are derived once per worker
+    process), so the payload ``Table.take`` and exact verification only
+    see survivors. At 60k files this cuts ~1.5M deduped candidates to
+    thousands."""
+    from clonehunter_ray.stages.verify import kind_gates, size_kind_gate
 
-    Using only per-snippet sizes and kinds (broadcast int/str columns):
-    jaccard <= min(|A|,|B|)/max(|A|,|B|), likewise for lexical, so any
-    pair whose upper-bound composite cannot clear the smaller kind gate
-    (and cannot reach the substring floor) is dropped as a pure numpy
-    mask — the expensive Table.take + exact verification only sees
-    survivors. At 60k files this cuts ~1.5M deduped candidates to
-    thousands.
-    """
     if batch.num_rows == 0:
         return batch
-    key_tuple = (index_ref[0], gates)  # stable broadcast uuid
+    key_tuple = (index_ref[0], thresholds)  # stable broadcast uuid
     if key_tuple not in _DERIVED_CACHE:
         payload, _ = get_broadcast_payload(index_ref, need_index=False)
-        n_sh = payload["n_shingles"].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        n_tok = payload["n_tokens"].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        kinds = np.asarray(payload["kind"].to_pylist(), dtype=object)
-        gate_arr = np.where(
-            kinds == "FUNC", gates[0], np.where(kinds == "WIN", gates[1], gates[2])
-        ).astype(np.float64)
         _DERIVED_CACHE.clear()
-        _DERIVED_CACHE[key_tuple] = (n_sh, n_tok, gate_arr)
-    n_sh, n_tok, gate_arr = _DERIVED_CACHE[key_tuple]
+        _DERIVED_CACHE[key_tuple] = (
+            payload["n_shingles"].to_numpy(zero_copy_only=False),
+            payload["n_tokens"].to_numpy(zero_copy_only=False),
+            kind_gates(payload["kind"], thresholds),
+        )
+    per_sid = _DERIVED_CACHE[key_tuple]
 
-    a = batch["a_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    b = batch["b_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    sa, sb = n_sh[a], n_sh[b]
-    ta, tb = n_tok[a], n_tok[b]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jac_ub = np.where(
-            (sa > 0) & (sb > 0), np.minimum(sa, sb) / np.maximum(sa, sb), 0.0
-        )
-        lex_ub = np.where(
-            (ta > 0) & (tb > 0), np.minimum(ta, tb) / np.maximum(ta, tb), 0.0
-        )
-    gate = np.minimum(gate_arr[a], gate_arr[b])
-    comp_ub = (1.0 - lexical_weight) * jac_ub + lexical_weight * lex_ub
-    keep = comp_ub >= gate
-    if substr_floor is not None:
-        keep |= jac_ub >= substr_floor
-    if lexical_min_ratio > 0:
-        keep &= lex_ub >= lexical_min_ratio
+    def side(col: str) -> tuple:
+        sid = batch[col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return tuple(x[sid] for x in per_sid)
+
+    keep = size_kind_gate(side("a_id"), side("b_id"), thresholds, substr_floor)
     return batch.filter(pa.array(keep, pa.bool_()))
 
 
-def pre_gate_pairs_joined(
-    batch: pa.Table,
-    gates: tuple[float, float, float],
-    lexical_weight: float,
-    lexical_min_ratio: float,
-    substr_floor: float | None,
+def pre_gate_pairs(
+    batch: pa.Table, thresholds, substr_floor: float | None
 ) -> pa.Table:
-    """Scale-path twin of ``pre_gate_pairs_indexed``: the same
-    size-ratio upper-bound mask, but over ``a_/b_`` columns attached by
-    a NARROW (kind + sizes) hash join — so above the broadcast cutover
-    the heavy payload joins (shingle/token blobs) only move survivors,
-    not the ~12x band-duplicated candidate set."""
-    if batch.num_rows == 0:
-        return batch
+    """``verify.size_kind_gate`` fed from attached ``a_``/``b_``
+    ``n_shingles`` / ``n_tokens`` / ``kind`` columns (the scan's join
+    path attaches these narrow columns first, so the heavy payload
+    attach only moves survivors)."""
+    from clonehunter_ray.stages.verify import kind_gates, size_kind_gate
 
-    def _gate(col: str) -> np.ndarray:
-        kinds = np.asarray(batch[col].to_pylist(), dtype=object)
-        return np.where(
-            kinds == "FUNC", gates[0], np.where(kinds == "WIN", gates[1], gates[2])
-        ).astype(np.float64)
-
-    def _num(col: str) -> np.ndarray:
-        return batch[col].to_numpy(zero_copy_only=False).astype(np.float64)
-
-    sa, sb = _num("a_n_shingles"), _num("b_n_shingles")
-    ta, tb = _num("a_n_tokens"), _num("b_n_tokens")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jac_ub = np.where(
-            (sa > 0) & (sb > 0), np.minimum(sa, sb) / np.maximum(sa, sb), 0.0
+    def side(p: str) -> tuple:
+        return (
+            batch[f"{p}n_shingles"].to_numpy(zero_copy_only=False),
+            batch[f"{p}n_tokens"].to_numpy(zero_copy_only=False),
+            kind_gates(batch[f"{p}kind"], thresholds),
         )
-        lex_ub = np.where(
-            (ta > 0) & (tb > 0), np.minimum(ta, tb) / np.maximum(ta, tb), 0.0
-        )
-    gate = np.minimum(_gate("a_kind"), _gate("b_kind"))
-    comp_ub = (1.0 - lexical_weight) * jac_ub + lexical_weight * lex_ub
-    keep = comp_ub >= gate
-    if substr_floor is not None:
-        keep |= jac_ub >= substr_floor
-    if lexical_min_ratio > 0:
-        keep &= lex_ub >= lexical_min_ratio
+
+    keep = size_kind_gate(side("a_"), side("b_"), thresholds, substr_floor)
     return batch.filter(pa.array(keep, pa.bool_()))
 
 

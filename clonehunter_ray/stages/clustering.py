@@ -14,11 +14,12 @@ cutover, ``DRIVER_MAX_EDGES``:
   Rounds grow with log(nodes), not with component diameter; the loop
   stops only at a fixpoint and raises past ``max_rounds``.
 
-``attach_labels`` puts the labels on rows (broadcast when the label
-table is driver-sized, partitioned join otherwise). ``add_cluster_ids``
-is the scan's use of both. ``filter_min_cluster_size`` reproduces the
-reference's ``filter_clusters`` (clustering.py:46-55): keep findings
-whose cluster has >= min_size *findings* (not members).
+Labels go onto rows by one left ``stages/candidates.attach_by_key``
+(broadcast or partitioned join behind ``fits_broadcast``); so do the
+cluster ids of ``add_cluster_ids``, the scan's use of both.
+``filter_min_cluster_size`` reproduces the reference's
+``filter_clusters`` (clustering.py:46-55): keep findings whose cluster
+has >= min_size *findings* (not members).
 """
 
 from __future__ import annotations
@@ -208,50 +209,6 @@ def _hook_and_shortcut(
             )
 
 
-def _label_table(labels_ds: "ray.data.Dataset") -> pa.Table:
-    return pa.concat_tables(ray.get(labels_ds.to_arrow_refs())).combine_chunks()
-
-
-def attach_labels(
-    rows_ds: "ray.data.Dataset", labels_ds: "ray.data.Dataset", key: str
-) -> "ray.data.Dataset":
-    """``rows_ds`` plus a ``label`` column: the label of each row's
-    ``key`` in ``labels_ds`` (unit_id, label), null for a key that is
-    in no edge. A driver-sized label table (at most two nodes per edge
-    below the cutover) is broadcast; a larger one is joined."""
-    if labels_ds.count() > 2 * DRIVER_MAX_EDGES:
-        return _join_labels(rows_ds, labels_ds, key)
-    table_ref = ray.put(_label_table(labels_ds))
-
-    def lookup(batch: pa.Table) -> pa.Table:
-        table = ray.get(table_ref)
-        keys = batch[key]
-        ids = table["unit_id"].cast(keys.type).combine_chunks()
-        label = table["label"].take(pc.index_in(keys, value_set=ids))
-        if pa.types.is_null(label.type):  # no edges, so no id type seen
-            label = label.cast(keys.type)
-        return batch.append_column("label", label)
-
-    return rows_ds.map_batches(lookup, batch_format="pyarrow")
-
-
-def _join_labels(
-    rows_ds: "ray.data.Dataset", labels_ds: "ray.data.Dataset", key: str
-) -> "ray.data.Dataset":
-    from clonehunter_ray.stages.candidates import pack_lists, unpack_lists
-
-    labels = labels_ds.map_batches(
-        lambda t: t.rename_columns([key, "label"]), batch_format="pyarrow"
-    )
-    return safe_join(
-        rows_ds.map_batches(pack_lists, batch_format="pyarrow"),
-        labels,
-        "left_outer",
-        _JOIN_PARTITIONS,
-        on=(key,),
-    ).map_batches(unpack_lists, batch_format="pyarrow")
-
-
 def add_cluster_ids(
     findings_ds: "ray.data.Dataset",
     config: ClusterConfig | None = None,
@@ -268,24 +225,27 @@ def add_cluster_ids(
     id". ``config`` holds no clustering knob; ``plan`` is as in
     ``connected_components``."""
     from clonehunter_ray.functions.hashing import hash_token_u64
+    from clonehunter_ray.stages.candidates import attach_by_key
 
     plan = {} if plan is None else plan
     labels = connected_components(findings_ds, plan)
     cluster_map: dict[str, int] = {}
     if plan["path"] == "driver":
-        table = _label_table(labels)
+        table = pa.concat_tables(ray.get(labels.to_arrow_refs()))
         lows = pc.unique(table["label"]).sort()
         rank = pc.add(pc.index_in(table["label"], value_set=lows), 1)
         cluster_map = dict(zip(table["unit_id"].to_pylist(), rank.to_pylist()))
         ids = ray.data.from_arrow(
-            pa.table({"unit_id": table["unit_id"], "label": rank.cast(pa.int64())})
+            pa.table(
+                {"unit_id": table["unit_id"], "cluster_id": rank.cast(pa.int64())}
+            )
         )
     else:
         ids = labels.map_batches(
             lambda t: pa.table(
                 {
                     "unit_id": t["unit_id"],
-                    "label": pa.array(
+                    "cluster_id": pa.array(
                         [
                             hash_token_u64(s) & 0x7FFFFFFFFFFFFFFF
                             for s in t["label"].to_pylist()
@@ -296,11 +256,16 @@ def add_cluster_ids(
             ),
             batch_format="pyarrow",
         )
-    labelled = attach_labels(findings_ds, ids, "unit_a").map_batches(
-        lambda t: t.rename_columns(
-            ["cluster_id" if c == "label" else c for c in t.column_names]
-        ),
-        batch_format="pyarrow",
+    # no edges: the label table is typed null, so schema= types it
+    labelled = attach_by_key(
+        findings_ds,
+        ids,
+        "unit_id",
+        ["cluster_id"],
+        on="unit_a",
+        how="left",
+        num_partitions=_JOIN_PARTITIONS,
+        schema=pa.schema([("unit_id", pa.string()), ("cluster_id", pa.int64())]),
     )
     return labelled, cluster_map
 

@@ -21,6 +21,12 @@ Consumes candidate pairs joined with both sides' signature payloads
   pairs of distinct functions in the same file dropped when the
   function spans overlap (structural containment).
 
+``size_kind_gate`` is the one upper-bound mask from sizes and kinds
+alone (jaccard <= min(|A|,|B|)/max(|A|,|B|)); the scan applies it to
+candidate pairs before their payloads attach, fed from broadcast
+per-sid arrays or from attached ``kind``/``n_shingles``/``n_tokens``
+columns (stages/candidates.py).
+
 Stateless ``map_batches`` stage; per-row work is numpy set
 intersection over the carried shingle/token arrays.
 """
@@ -64,13 +70,57 @@ PAIRS_SCHEMA = pa.schema(
 )
 
 
-def _kind_gates(batch: pa.Table, col: str, thresholds: Thresholds) -> np.ndarray:
-    k = np.asarray(batch[col].to_pylist(), dtype=object)
+def kind_gates(kinds, thresholds: Thresholds) -> np.ndarray:
+    """Each row's per-kind threshold (FUNC, WIN, anything else EXP)."""
+    k = np.asarray(kinds.to_pylist(), dtype=object)
     return np.where(
         k == "FUNC",
         thresholds.func,
         np.where(k == "WIN", thresholds.win, thresholds.exp),
     ).astype(np.float64)
+
+
+def size_kind_gate(
+    a: tuple, b: tuple, thresholds: Thresholds, substr_floor: float | None
+) -> np.ndarray:
+    """The pairs' upper-bound mask from sizes and kinds alone: ``a`` and
+    ``b`` are each side's ``(n_shingles, n_tokens, kind gate)`` arrays.
+    jaccard <= min(|A|,|B|)/max(|A|,|B|) (0 when a side is empty), and
+    likewise for lexical, so a pair dropped here can clear neither the
+    smaller kind gate, nor the substring floor (``None`` when off), nor
+    ``lexical_min_ratio``: ``verify_pairs_batch`` would reject it. Both
+    scan paths gate with it before the payload attach."""
+
+    def ratio(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(
+                (x > 0) & (y > 0), np.minimum(x, y) / np.maximum(x, y), 0.0
+            )
+
+    jac_ub, lex_ub = ratio(a[0], b[0]), ratio(a[1], b[1])
+    w = thresholds.lexical_weight
+    keep = (1.0 - w) * jac_ub + w * lex_ub >= np.minimum(a[2], b[2])
+    if substr_floor is not None:
+        keep |= jac_ub >= substr_floor
+    if thresholds.lexical_min_ratio > 0:
+        keep &= lex_ub >= thresholds.lexical_min_ratio
+    return keep
+
+
+def _exact_jaccard(a: pa.ChunkedArray, b: pa.ChunkedArray) -> np.ndarray:
+    """Exact Jaccard per row of two sorted-set blob columns: byte-equal
+    non-empty sides are 1.0 for free, the rest go through ONE vectorized
+    lexsort kernel (hashing.jaccard_batch), where an empty side is 0 —
+    as in ``size_kind_gate``'s bound."""
+    import pyarrow.compute as pc
+
+    eq = pc.and_(pc.equal(a, b), pc.greater(pc.binary_length(a), 0))
+    out = np.ones(len(a), dtype=np.float64)
+    rest = np.flatnonzero(~eq.to_numpy(zero_copy_only=False))
+    if len(rest):
+        sel = pa.array(rest, pa.int64())
+        out[rest] = jaccard_batch(a.take(sel), b.take(sel))
+    return out
 
 
 def verify_pairs_batch(
@@ -81,11 +131,14 @@ def verify_pairs_batch(
     """Joined candidate batch -> verified pair rows (canonical sides).
 
     Three phases, sized to the candidate funnel (measured at 60k files:
-    110k candidates -> 23k accepted): (1) structural filters + size
-    upper-bound gates fully vectorized on numeric/length columns, (2)
-    exact Jaccard/lexical per surviving row (binary-search set
-    intersection — the only inherently per-pair work), (3) output
-    assembly via ``take`` + vectorized side canonicalization. When
+    110k candidates -> 23k accepted): (1) structural filters fully
+    vectorized on numeric columns, (2) exact Jaccard/lexical per
+    surviving row (one lexsort kernel — the only inherently per-pair
+    work), (3) output assembly via ``take`` + vectorized side
+    canonicalization. The size upper bound is not repeated here: the
+    scan gates on it before the payload attach (``size_kind_gate``),
+    and the exact checks imply it, so a direct caller gets the same
+    rows. When
     ``substring`` is enabled, pairs failing the composite gate but with
     shingle Jaccard >= ``substring.floor`` get a suffix-array LCS
     rescue over the carried ``token_seq`` columns
@@ -102,7 +155,7 @@ def verify_pairs_batch(
         and "a_token_seq" in batch.column_names
     )
 
-    # ---- phase 1: vectorized structural + upper-bound gates ----------
+    # ---- phase 1: vectorized structural filters ---------------------
     num = lambda c: batch[c].to_numpy(zero_copy_only=False)  # noqa: E731
     a_s, a_e = num("a_start_line"), num("a_end_line")
     b_s, b_e = num("b_start_line"), num("b_end_line")
@@ -120,43 +173,10 @@ def verify_pairs_batch(
     # overlapping snippet spans; same-file distinct units overlapping
     keep = ~(unit_eq & ov_snip) & ~(~unit_eq & path_eq & ov_unit)
 
-    # size-ratio upper bounds: jaccard <= min(|A|,|B|)/max(|A|,|B|)
-    sz_a = pc.binary_length(batch["a_shingles"]).to_numpy(
-        zero_copy_only=False
-    ).astype(np.float64) / 8.0
-    sz_b = pc.binary_length(batch["b_shingles"]).to_numpy(
-        zero_copy_only=False
-    ).astype(np.float64) / 8.0
-    tsz_a = pc.binary_length(batch["a_tokens"]).to_numpy(
-        zero_copy_only=False
-    ).astype(np.float64) / 8.0
-    tsz_b = pc.binary_length(batch["b_tokens"]).to_numpy(
-        zero_copy_only=False
-    ).astype(np.float64) / 8.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jac_ub = np.where(
-            (sz_a > 0) & (sz_b > 0),
-            np.minimum(sz_a, sz_b) / np.maximum(sz_a, sz_b),
-            0.0,
-        )
-        lex_ub = np.where(
-            (tsz_a > 0) & (tsz_b > 0),
-            np.minimum(tsz_a, tsz_b) / np.maximum(tsz_a, tsz_b),
-            0.0,
-        )
     gate = np.minimum(
-        _kind_gates(batch, "a_kind", thresholds),
-        _kind_gates(batch, "b_kind", thresholds),
+        kind_gates(batch["a_kind"], thresholds),
+        kind_gates(batch["b_kind"], thresholds),
     )
-    if thresholds.lexical_min_ratio > 0:
-        keep &= lex_ub >= thresholds.lexical_min_ratio
-    comp_ub = (1.0 - thresholds.lexical_weight) * jac_ub + (
-        thresholds.lexical_weight * lex_ub
-    )
-    pass_ub = comp_ub >= gate
-    if substr_on:
-        pass_ub |= jac_ub >= substring.floor
-    keep &= pass_ub
 
     sub = batch.take(pa.array(np.flatnonzero(keep), pa.int64()))
     m = sub.num_rows
@@ -164,29 +184,8 @@ def verify_pairs_batch(
         return PAIRS_SCHEMA.empty_table()
 
     # ---- phase 2: exact set similarity on survivors ------------------
-    # byte-equal sides are jaccard 1.0 for free; the rest go through ONE
-    # vectorized lexsort kernel (hashing.jaccard_batch) instead of a
-    # per-pair frombuffer+intersect loop
-    sh_eq = pc.equal(sub["a_shingles"], sub["b_shingles"]).to_numpy(
-        zero_copy_only=False
-    )
-    tk_eq = pc.equal(sub["a_tokens"], sub["b_tokens"]).to_numpy(
-        zero_copy_only=False
-    )
-    jac = np.ones(m, dtype=np.float64)
-    lex = np.ones(m, dtype=np.float64)
-    sh_neq = np.flatnonzero(~sh_eq)
-    if len(sh_neq):
-        sel = pa.array(sh_neq, pa.int64())
-        jac[sh_neq] = jaccard_batch(
-            sub["a_shingles"].take(sel), sub["b_shingles"].take(sel)
-        )
-    tk_neq = np.flatnonzero(~tk_eq)
-    if len(tk_neq):
-        sel = pa.array(tk_neq, pa.int64())
-        lex[tk_neq] = jaccard_batch(
-            sub["a_tokens"].take(sel), sub["b_tokens"].take(sel)
-        )
+    jac = _exact_jaccard(sub["a_shingles"], sub["b_shingles"])
+    lex = _exact_jaccard(sub["a_tokens"], sub["b_tokens"])
     composite = (1.0 - thresholds.lexical_weight) * jac + (
         thresholds.lexical_weight * lex
     )

@@ -51,34 +51,6 @@ def scrub_empty_blocks(ds, batch_size: int = 4096):
     )
 
 
-def key_sentinel(schema, keys: tuple) -> "object":
-    """One-row join-side sentinel: key columns = -1, the rest null.
-
-    Ray's hash-shuffle join builds each partition side with an
-    ArrowBlockBuilder that has seen only the shards routed to it; a
-    GLOBALLY empty input sequence contributes no shard anywhere, the
-    builder produces a zero-COLUMN table, and Acero aborts with "No
-    match or multiple matches for key field reference" (join.py:106-118
-    on Ray 2.49.2; a zero-ROW block doesn't help — Ray drops it before
-    the shuffle). One real row is enough: every partition then receives
-    schema-carrying shards. Engine join keys are non-negative ids, so
-    -1 can never match."""
-    import pyarrow as pa
-
-    arrays = []
-    for f in schema:
-        if f.name in keys:
-            if not pa.types.is_signed_integer(f.type):
-                raise TypeError(
-                    f"key_sentinel: key {f.name} must be signed int, "
-                    f"got {f.type}"
-                )
-            arrays.append(pa.array([-1], f.type))
-        else:
-            arrays.append(pa.array([None], f.type))
-    return pa.table(dict(zip(schema.names, arrays)), schema=schema)
-
-
 def left_attach_or_nulls(
     left,
     right,
@@ -127,35 +99,15 @@ def safe_join(
     num_partitions: int,
     on: tuple,
     right_on: tuple | None = None,
-    left_sentinel=None,
-    right_sentinel=None,
 ):
     """``Dataset.join`` with both inputs scrubbed of zero-column empty
     blocks (see scrub_empty_blocks) and the partition count capped to
-    the cluster (see safe_join_partitions).
-
-    ``left_sentinel`` / ``right_sentinel``: a one-row ``key_sentinel``
-    table unioned onto that side so a GLOBALLY empty input can't crash
-    the join (see key_sentinel). Only legal on sides whose unmatched
-    rows the join type drops — a sentinel on an outer side would leak
-    a -1 row into the output."""
-    import ray.data
-
-    if left_sentinel is not None and join_type != "inner":
-        raise ValueError("left_sentinel requires an inner join")
-    if right_sentinel is not None and join_type not in (
-        "inner",
-        "left_outer",
-    ):
-        raise ValueError("right_sentinel requires inner or left_outer")
-    l_ds = scrub_empty_blocks(left)
-    if left_sentinel is not None:
-        l_ds = l_ds.union(ray.data.from_arrow(left_sentinel))
-    r_ds = scrub_empty_blocks(right)
-    if right_sentinel is not None:
-        r_ds = r_ds.union(ray.data.from_arrow(right_sentinel))
-    return l_ds.join(
-        r_ds,
+    the cluster (see safe_join_partitions). A GLOBALLY empty input
+    still crashes the join; keyed attaches go through
+    ``stages/candidates.attach_by_key``, which never joins an empty
+    side (``left_attach_or_nulls``)."""
+    return scrub_empty_blocks(left).join(
+        scrub_empty_blocks(right),
         join_type,
         safe_join_partitions(num_partitions),
         on=on,

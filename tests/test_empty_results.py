@@ -1,10 +1,12 @@
 """Duplicate-free / empty-result robustness.
 
 Ray's hash-shuffle join crashes when one input sequence is GLOBALLY
-empty (zero-column partition tables reach Acero — util.key_sentinel
-documents the mechanism). Every dedup-family operator has a legitimate
-all-unique input whose candidate/label/winner side is exactly that, so
-each one is pinned here end-to-end on a corpus with no duplicates.
+empty (zero-column partition tables reach Acero —
+util.left_attach_or_nulls documents the mechanism), so every keyed
+attach goes through stages/candidates.attach_by_key, which never joins
+an empty side. Every dedup-family operator has a legitimate all-unique
+input whose candidate/label/winner side is exactly that, so each one is
+pinned here end-to-end on a corpus with no duplicates.
 """
 
 from __future__ import annotations
@@ -27,14 +29,23 @@ def _unique_docs(n: int = 40) -> pa.Table:
     )
 
 
+def _assert_unclustered(out) -> None:
+    """Every doc keeps, in no cluster (-1), under a typed cluster_id:
+    with no edges the label table is typed null, and the attach's
+    ``schema=`` types it."""
+    assert len(out) == 40
+    assert out["keep"].all()
+    assert str(out["cluster_id"].dtype) == "int64"
+    assert (out["cluster_id"] == -1).all()
+
+
 def test_minhash_keep_no_dups(ray_session):
     from clonehunter_ray.pipelines import dedup
 
     out = dedup.minhash_dedup_keep(
         ray.data.from_arrow(_unique_docs()), threshold=0.8
     ).to_pandas()
-    assert len(out) == 40
-    assert out["keep"].all()
+    _assert_unclustered(out)
 
 
 def test_minhash_keep_distributed_no_dups(ray_session, monkeypatch):
@@ -48,8 +59,7 @@ def test_minhash_keep_distributed_no_dups(ray_session, monkeypatch):
         ray.data.from_arrow(_unique_docs()),
         threshold=0.8,
     ).to_pandas()
-    assert len(out) == 40
-    assert out["keep"].all()
+    _assert_unclustered(out)
 
 
 def test_minhash_keep_best_no_dups(ray_session):
@@ -240,46 +250,3 @@ def test_decontaminate_distributed_no_contamination(ray_session, tmp_path):
     out = Q.decontaminate_documents_distributed(str(tmp_path)).to_pandas()
     assert (out["n_contaminated_grams"] == 0).all()
     assert not out["contaminated"].any()
-
-
-def test_key_sentinel_rejects_unsigned():
-    from clonehunter_ray.util import key_sentinel
-
-    with pytest.raises(TypeError):
-        key_sentinel(pa.schema([("k", pa.uint64())]), ("k",))
-
-
-def test_safe_join_sentinel_empty_right(ray_session):
-    from clonehunter_ray.util import key_sentinel, safe_join
-
-    left = ray.data.from_arrow(
-        pa.table({"doc_id": pa.array(range(10), pa.int64())})
-    )
-    right_schema = pa.schema([("d_id", pa.int64()), ("v", pa.float64())])
-    empty_right = ray.data.from_arrow(right_schema.empty_table())
-    out = safe_join(
-        left,
-        empty_right,
-        "left_outer",
-        4,
-        on=("doc_id",),
-        right_on=("d_id",),
-        right_sentinel=key_sentinel(right_schema, ("d_id",)),
-    ).to_pandas()
-    assert len(out) == 10
-    assert out["v"].isna().all()
-
-
-def test_safe_join_sentinel_leak_guard():
-    from clonehunter_ray.util import key_sentinel, safe_join
-
-    schema = pa.schema([("k", pa.int64())])
-    with pytest.raises(ValueError):
-        safe_join(
-            None,
-            None,
-            "left_outer",
-            2,
-            on=("k",),
-            left_sentinel=key_sentinel(schema, ("k",)),
-        )

@@ -68,10 +68,15 @@ def test_hashmin_matches_unionfind_components(ray_session, distributed):
 
 
 def test_scan_distributed_clustering_branch(ray_session, monkeypatch):
+    """Distributed components, with every attach forced onto the join
+    path too (the cluster-id attach and the scan's pair attaches)."""
+    from clonehunter_ray.stages import candidates
+
     files, truth = generate_corpus(120, 11)
     r_driver = scan(ray.data.from_arrow(files), EngineConfig())
     f_driver = r_driver.findings.to_pandas()
     monkeypatch.setattr(C, "DRIVER_MAX_EDGES", 0)
+    monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     r_dist = scan(ray.data.from_arrow(files), EngineConfig())
     f_dist = r_dist.findings.to_pandas()
 
@@ -79,6 +84,7 @@ def test_scan_distributed_clustering_branch(ray_session, monkeypatch):
     assert r_dist.stats["plan"]["clustering"]["path"] == "distributed"
     assert r_dist.stats["counts"]["clusters"] == r_driver.stats["counts"]["clusters"]
     assert sorted(f_dist.pair_key) == sorted(f_driver.pair_key)
+    assert r_dist.stats["plan"]["pairs"]["path"] == "join"
     # the reasons list column survives the attach join
     assert sorted(map(tuple, f_dist.sort_values("pair_key").reasons)) == sorted(
         map(tuple, f_driver.sort_values("pair_key").reasons)

@@ -93,9 +93,11 @@ def test_cached_stage_is_bounded(monkeypatch):
     assert len(util._STAGES) <= util._STAGES_MAX
 
 
-def test_config_loader_rejects_signature_actors(tmp_path):
-    with pytest.raises(ConfigError, match="exec.signature_actors"):
-        load_config(str(tmp_path), {"exec.signature_actors": 4})
+@pytest.mark.parametrize("key", ["exec.signature_actors", "exec.batch_size"])
+def test_config_loader_rejects_signature_actors(tmp_path, key):
+    """Removed exec knobs are unknown keys to the strict loader."""
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(tmp_path), {key: 4})
 
 
 _ONE_CPU_SCAN = textwrap.dedent(
