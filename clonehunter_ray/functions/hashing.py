@@ -587,50 +587,54 @@ def batch_shingle_sets(
 _BYTE_BITS = (
     (np.arange(256, dtype=np.uint8)[:, None] >> np.arange(8, dtype=np.uint8))
     & 1
-).astype(np.uint8)
+).astype(np.float64)
+# simhash_from_flat's row chunk: at most this many rows (a 512 KiB
+# histogram per byte position) and, past its first row, this many values
+_SIMHASH_CHUNK_ROWS = 256
+_SIMHASH_CHUNK_VALUES = 1 << 18
 
 
 def simhash_from_flat(
     flat_values: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """64-bit SimHash per row from flattened per-row value sets —
-    bit-identical to :func:`simhash_batch` on the split lists. Bit
-    counting runs through a byte LUT + ``add.reduceat`` per row-chunk
-    (bounded scratch) instead of a per-row (n x 64) expansion."""
+    bit-identical to :func:`simhash_batch` on the split lists. Per row
+    chunk and little-endian byte position b, one ``bincount`` builds a
+    (rows x 256) byte-value histogram and a (256 x 8) bit table turns
+    it into the counts of bits 8b..8b+7, so scratch stays bounded by
+    the chunk and nothing expands a value into its 64 bits."""
     n_rows = len(counts)
     out = np.zeros(n_rows, dtype=np.uint64)
     if flat_values.size == 0 or n_rows == 0:
         return out
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    shifts = np.arange(64, dtype=np.uint64)
-    chunk_vals = 1 << 18  # 256k values -> <= 64 MB int32 scratch
+    value_bytes = (
+        flat_values.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    )
+    bit_counts = np.empty((min(n_rows, _SIMHASH_CHUNK_ROWS), 64))
     i = 0
     while i < n_rows:
-        j = max(
-            i + 1,
-            int(
-                np.searchsorted(
-                    offsets, offsets[i] + chunk_vals, side="right"
-                )
+        by_values = int(
+            np.searchsorted(
+                offsets, offsets[i] + _SIMHASH_CHUNK_VALUES, side="right"
             )
-            - 1,
+        ) - 1
+        j = min(n_rows, i + _SIMHASH_CHUNK_ROWS, max(i + 1, by_values))
+        rows = j - i
+        seg = value_bytes[offsets[i] : offsets[j]]
+        # histogram bin of each value: its chunk row * 256 + the byte
+        bins = np.repeat(
+            np.arange(0, rows * 256, 256, dtype=np.intp), counts[i:j]
         )
-        j = min(j, n_rows)
-        seg = flat_values[offsets[i] : offsets[j]]
-        if seg.size:
-            # little-endian byte b of a uint64 holds bits 8b..8b+7, so
-            # the C-order reshape lands bit index byte*8+bit == global
-            bits = _BYTE_BITS[seg.view(np.uint8).reshape(-1, 8)].reshape(
-                -1, 64
+        cnt = bit_counts[:rows]
+        for b in range(8):
+            hist = np.bincount(bins + seg[:, b], minlength=rows * 256)
+            np.matmul(
+                hist.reshape(rows, 256), _BYTE_BITS, out=cnt[:, 8 * b : 8 * b + 8]
             )
-            rows_ne = i + np.flatnonzero(counts[i:j] > 0)
-            rel = (offsets[rows_ne] - offsets[i]).astype(np.intp)
-            cnt = np.add.reduceat(bits.astype(np.int32), rel, axis=0)
-            vote = cnt.astype(np.int64) * 2 > counts[rows_ne][:, None]
-            out[rows_ne] = np.bitwise_or.reduce(
-                vote.astype(np.uint64) << shifts[None, :], axis=1
-            )
+        vote = cnt * 2 > counts[i:j, None]
+        out[i:j] = np.packbits(vote, axis=1, bitorder="little").view("<u8")[:, 0]
         i = j
     return out
 

@@ -8,6 +8,9 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       -> map_batches(extract_units)           # flat-map, stateless
       -> map_batches(generate_snippets)       # flat-map, stateless
       -> map_batches(signatures_task)         # tasks, per-process stage
+      (read -> signatures run on the stage's own DataContext, whose
+       target_max_block_size is SIGNATURE_BLOCK_BYTES; every later
+       stage plans on the session's)
       [checkpoint: signatures]
       -- signatures fit the broadcast cutover (the default path):
       -> broadcast payload table (one plasma table, sid = row index)
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import pyarrow as pa
 import ray.data
 
 from clonehunter_ray.config import EngineConfig
@@ -56,6 +60,7 @@ from clonehunter_ray.stages.signatures import signatures_task
 from clonehunter_ray.stages.snippets import generate_snippets_batch
 from clonehunter_ray.stages.verify import verify_pairs_batch
 from clonehunter_ray.state import checkpoint as ckpt
+from clonehunter_ray.util import with_block_size
 
 # columns each pair side carries into verification, attached by
 # snippet_id
@@ -73,6 +78,16 @@ _JOIN_PAYLOAD = [
     "n_shingles",
     "n_tokens",
 ]
+
+
+# target_max_block_size of the read -> signatures operator's own
+# DataContext. Until a map operator's first task returns, Ray Data
+# budgets each task's pending output as this size times its 2-block
+# generator buffer, so at the session's 128 MiB a 768 MiB object store
+# let the fused operator start ONE task. The stage's blocks (one per
+# read block) stay well below it (largest 12.3 MB on the 6,000-file
+# benchmark input), so no block splits and every CPU starts at once.
+SIGNATURE_BLOCK_BYTES = 32 << 20
 
 
 # Join path only: when the deduped pair table has at most this many
@@ -155,7 +170,6 @@ def build_prefix(
     previously lived in scan() — confusing and rot-prone)."""
     hashed = files_ds.map_batches(add_content_sha256, batch_format="pyarrow")
     if config.include_langs:
-        import pyarrow as pa
         import pyarrow.compute as pc
 
         langs = pa.array(sorted(config.include_langs), pa.string())
@@ -179,7 +193,10 @@ def build_signatures(
     prefix: tuple | None = None,
 ) -> "ray.data.Dataset":
     """files -> signatures (the narrow half; ``prefix`` reuses an
-    already-built (hashed, units, snippets) chain)."""
+    already-built (hashed, units, snippets) chain). The result runs on
+    its own DataContext copy (``SIGNATURE_BLOCK_BYTES``); the prefix
+    datasets and the session keep theirs, and ``build_pairs`` (like
+    ``scan``) goes back to the session's value."""
     hashed, _units, snippets = prefix or build_prefix(files_ds, config)
     if config.expansion.enabled:
         # EXP call-expansion snippets (per-repo-local groupby; off by
@@ -187,7 +204,7 @@ def build_signatures(
         from clonehunter_ray.stages.expansion import generate_exp_snippets
 
         snippets = snippets.union(generate_exp_snippets(hashed, config.expansion))
-    return snippets.map_batches(
+    signatures = snippets.map_batches(
         signatures_task,
         fn_kwargs={
             "config": config.signature,
@@ -200,6 +217,7 @@ def build_signatures(
         batch_size=config.exec.file_batch_size,
         batch_format="pyarrow",
     )
+    return with_block_size(signatures, SIGNATURE_BLOCK_BYTES)
 
 
 def build_pairs(
@@ -225,6 +243,9 @@ def build_pairs(
     """
     cap = config.signature.max_bucket_pairs_full
     payload_cols = _join_payload(config)
+    # plan on the session's block size, whatever context the
+    # signatures were built on (build_signatures scopes its own)
+    signatures = with_block_size(signatures)
 
     fits, n_sigs, nbytes = fits_broadcast(signatures)
     plan = {} if plan is None else plan
@@ -281,7 +302,6 @@ def build_pairs(
     # accountant while signatures are corpus-scale
     plan["pair_id_prune"] = 0 < n_pairs <= PAIR_ID_PRUNE_MAX_PAIRS
     if plan["pair_id_prune"]:
-        import pyarrow as pa
         import pyarrow.compute as pc
 
         # per-block local unique FIRST (a combiner: band-duplicated ids
@@ -358,8 +378,6 @@ def _pairs_broadcast(
     it per broadcast key (plasma reads are zero-copy; concat_tables
     only chains chunk references).
     """
-    import pyarrow as pa
-
     from clonehunter_ray.stages.candidates import (
         emit_pairs_packed_partition,
         explode_bands_packed,
@@ -511,6 +529,17 @@ def scan(
         ),
         root, "signatures", fp, ckpt_stats,
     )
+    # the stage's block size stops here: res.signatures and all that is
+    # built on it plan on the session's. Its block count is known when
+    # the stage is held in the object store; a checkpoint's read-back
+    # blocks follow its parquet files instead.
+    signatures_plan = {
+        "target_max_block_size": SIGNATURE_BLOCK_BYTES,
+        "blocks": signatures.num_blocks()
+        if ckpt_stats["signatures"] == "memory"
+        else None,
+    }
+    signatures = with_block_size(signatures)
     timing["signatures"] = round(time.monotonic() - t0, 3)
     if _log:
         log_stage("Build signatures", timing["signatures"])
@@ -614,6 +643,15 @@ def scan(
                 .count()
                 .count()
             )
+    if n_findings == 0:
+        # the stages after the pair shuffle passed only empty blocks,
+        # whose map UDFs never run, so nothing typed the result
+        from clonehunter_ray.stages.rollup import FINDINGS_SCHEMA
+
+        schema = FINDINGS_SCHEMA
+        if config.cluster.enabled:
+            schema = schema.append(pa.field("cluster_id", pa.int64()))
+        findings = ray.data.from_arrow(schema.empty_table())
     timing["clustering"] = round(time.monotonic() - t0, 3)
     timing["total"] = round(time.monotonic() - t_start, 3)
     if _log:
@@ -652,7 +690,7 @@ def scan(
         "lsh": lsh,
         "checkpoint": dict(ckpt_stats),
         # automatic plan decisions with their inputs
-        "plan": {"pairs": pairs_plan}
+        "plan": {"signatures": signatures_plan, "pairs": pairs_plan}
         | ({"clustering": clustering} if clustering else {}),
     }
 

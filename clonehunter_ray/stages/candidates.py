@@ -545,16 +545,16 @@ def attach_by_key(
     ``fits_broadcast`` it is combined into one key-sorted plasma table
     every worker maps zero-copy (``make_broadcast_handle``) and
     ``rows`` stream through a binary-search probe; otherwise one
-    partitioned hash join per ``on`` column (``util.safe_join``, or
-    ``util.left_attach_or_nulls`` for ``left``), list<string> columns
-    of either side crossing it packed (``pack_lists``). An empty
-    ``side`` — or empty ``rows`` on the join path, which Ray's hash join
-    cannot take (see util.left_attach_or_nulls) — gives a typed result
+    partitioned hash join per ``on`` column (``util.safe_join``,
+    inner or left outer), list<string> columns of either side crossing
+    it packed (``pack_lists``). An empty ``side`` — or empty ``rows``
+    on the join path, which Ray's hash join cannot take (see
+    util.scrub_empty_blocks) — gives a typed result
     without a join. ``schema`` types the side's columns when Ray reports
     no schema for an empty side (an aggregate over no rows)."""
     import ray.data
 
-    from clonehunter_ray.util import left_attach_or_nulls, safe_join
+    from clonehunter_ray.util import safe_join
 
     on = {on: ""} if isinstance(on, str) else dict(on)
     side = side.select_columns([key, *cols]).materialize()
@@ -597,21 +597,14 @@ def attach_by_key(
             return pack_lists(t.set_column(0, key, t[key].cast(want)))
 
         right = side.map_batches(right_side, batch_format="pyarrow")
-        if how == "inner":
-            rows = safe_join(
-                rows, right, "inner", num_partitions, on=(col,), right_on=(key,)
-            )
-        else:
-            rows = left_attach_or_nulls(
-                rows,
-                right,
-                num_partitions,
-                on=(col,),
-                right_on=(key,),
-                right_schema=pa.schema(
-                    [(f"{prefix}{c}", types[c]) for c in cols]
-                ),
-            )
+        rows = safe_join(
+            rows,
+            right,
+            "inner" if how == "inner" else "left_outer",
+            num_partitions,
+            on=(col,),
+            right_on=(key,),
+        )
     return rows.map_batches(unpack_lists, batch_format="pyarrow") if lists else rows
 
 

@@ -1,10 +1,11 @@
 """Unit extraction: files -> units (one row per function / file unit).
 
 Semantics mirror the reference exactly:
-* python files: ``ast.parse`` + NodeVisitor over ClassDef / FunctionDef /
+* python files: ``ast.parse`` + a walk over ClassDef / FunctionDef /
   AsyncFunctionDef keeping a name stack (nested qualified names a.b.c),
   slicing source lines lineno..end_lineno; parse errors swallow to zero
-  units (reference parsing/python_ast.py:24-67).
+  units (reference parsing/python_ast.py:24-67). The walk visits
+  statement lists only, since a def can sit nowhere else.
 * everything else: the whole file as a single pseudo-unit named after
   the file basename, span 1..n_lines; blank files dropped (reference
   parsing/text_units.py:9-27).
@@ -53,8 +54,21 @@ def detect_language(path: str, lang: str | None) -> str:
     return "python" if path.endswith(".py") else "text"
 
 
+# the only fields that hold statements; a def or class can sit nowhere
+# else, so the walk never descends into expressions
+_STMT_LIST_FIELDS = frozenset(("body", "orelse", "finalbody", "handlers", "cases"))
+# node class -> its statement-list fields, in ``_fields`` order
+_WALK_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 def extract_python_units(path: str, source: str) -> list[dict]:
-    """AST function extraction (reference parsing/python_ast.py:24-67)."""
+    """AST function extraction (reference parsing/python_ast.py:24-67).
+
+    Visits statements only (``_STMT_LIST_FIELDS``, each node's fields
+    in ``_fields`` order), which yields the same units in the same
+    order as the reference's walk over every child node at half the
+    cost (tests/test_extract_snippets.py keeps that walk as the
+    oracle)."""
     try:
         tree = ast.parse(source, filename=path)
     except (SyntaxError, ValueError):
@@ -64,29 +78,35 @@ def extract_python_units(path: str, source: str) -> list[dict]:
     stack: list[str] = []
 
     def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                start = getattr(child, "lineno", 1)
-                end = getattr(child, "end_lineno", start)
-                code = "\n".join(lines[start - 1 : end])
-                qualified = ".".join([*stack, child.name])
-                out.append(
-                    {
-                        "qualified_name": qualified,
-                        "start_line": start,
-                        "end_line": end,
-                        "code": code,
-                    }
-                )
-                stack.append(child.name)
-                visit(child)
-                stack.pop()
-            elif isinstance(child, ast.ClassDef):
-                stack.append(child.name)
-                visit(child)
-                stack.pop()
-            else:
-                visit(child)
+        fields = _WALK_FIELDS.get(type(node))
+        if fields is None:
+            fields = _WALK_FIELDS[type(node)] = tuple(
+                f for f in node._fields if f in _STMT_LIST_FIELDS
+            )
+        for name in fields:
+            for child in getattr(node, name):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    start = getattr(child, "lineno", 1)
+                    end = getattr(child, "end_lineno", start)
+                    code = "\n".join(lines[start - 1 : end])
+                    qualified = ".".join([*stack, child.name])
+                    out.append(
+                        {
+                            "qualified_name": qualified,
+                            "start_line": start,
+                            "end_line": end,
+                            "code": code,
+                        }
+                    )
+                    stack.append(child.name)
+                    visit(child)
+                    stack.pop()
+                elif isinstance(child, ast.ClassDef):
+                    stack.append(child.name)
+                    visit(child)
+                    stack.pop()
+                else:
+                    visit(child)
 
     visit(tree)
     return out

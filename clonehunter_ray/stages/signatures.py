@@ -13,8 +13,13 @@ buffer (a few KB to 8 MB), so it lives in a per-process cache keyed by
 the frozen config and the emit argument (``util.cached_stage``). Ray
 reuses task workers, so ``SignatureStage`` is built once per worker
 process, every CPU runs the fused read->signatures chain, and no actor
-pool holds CPU slots the read tasks need. Each ``__call__`` vectorizes
-over the whole Arrow batch.
+pool holds CPU slots the read tasks need. The scan runs that chain on
+the stage's own Ray Data context, whose ``target_max_block_size``
+(``pipelines/scan.SIGNATURE_BLOCK_BYTES``, 32 MiB) sits near the
+stage's real blocks: at the session's 128 MiB, Ray's estimate of a
+first task's pending output let the operator start a single task.
+Each ``__call__`` vectorizes over the whole Arrow batch; SimHash counts
+bits from per-byte histograms (``hashing.simhash_from_flat``).
 
 Output columns (FIXTURES.md §3 `signatures`, plus carried snippet meta
 so downstream stages never re-join against raw text):

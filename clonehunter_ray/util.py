@@ -40,8 +40,12 @@ def scrub_empty_blocks(ds, batch_size: int = 4096):
     input block's builder, so it stays zero-column), and the join's
     one schema-broadcast slot is consumed by the first block submitted
     per side even when that block is empty (hash_shuffle.py:223 +
-    :584-586). A side that can be GLOBALLY empty therefore needs
-    left_attach_or_nulls / a count gate, not just the scrub."""
+    :584-586), so every aggregator gets a zero-column table and Acero
+    aborts; no in-stream scrub can prevent it, because empty batches
+    bypass map UDFs entirely (plan_udf_map_op.py:454-462). A side that
+    can be GLOBALLY empty therefore needs a count gate, not just the
+    scrub: ``stages/candidates.attach_by_key`` sizes its side first and
+    never joins an empty one."""
 
     def _identity(t):
         return t
@@ -49,47 +53,6 @@ def scrub_empty_blocks(ds, batch_size: int = 4096):
     return ds.map_batches(
         _identity, batch_format="pyarrow", batch_size=batch_size
     )
-
-
-def left_attach_or_nulls(
-    left,
-    right,
-    num_partitions: int,
-    on: tuple,
-    right_on: tuple,
-    right_schema,
-):
-    """Left-outer attach that tolerates a GLOBALLY empty right side.
-
-    Ray's hash-shuffle join consumes its one schema-broadcast slot on
-    the FIRST block submitted per side even when that block has zero
-    rows (hash_shuffle.py:223 returns before broadcasting, yet the
-    flag at :584-586 is already set), so an all-empty side leaves
-    every aggregator with a zero-column table and Acero aborts. No
-    in-stream scrub can prevent it — empty batches bypass map UDFs
-    entirely (plan_udf_map_op.py:454-462). The deterministic guard:
-    materialize the right side (the attach sides in this engine are
-    label/winner/flag tables, orders of magnitude narrower than the
-    corpus), and when it is empty skip the join and append the right
-    columns as nulls — exactly what the join would have produced."""
-    import pyarrow as pa
-
-    r = scrub_empty_blocks(right).materialize()
-    if r.count() > 0:
-        return safe_join(
-            left, r, "left_outer", num_partitions, on=on, right_on=right_on
-        )
-
-    def add_nulls(batch: pa.Table) -> pa.Table:
-        for f in right_schema:
-            if f.name in batch.column_names:
-                continue  # shared join-key name: the join merges it
-            batch = batch.append_column(
-                f.name, pa.nulls(batch.num_rows, f.type)
-            )
-        return batch
-
-    return left.map_batches(add_nulls, batch_format="pyarrow")
 
 
 def safe_join(
@@ -103,9 +66,9 @@ def safe_join(
     """``Dataset.join`` with both inputs scrubbed of zero-column empty
     blocks (see scrub_empty_blocks) and the partition count capped to
     the cluster (see safe_join_partitions). A GLOBALLY empty input
-    still crashes the join; keyed attaches go through
-    ``stages/candidates.attach_by_key``, which never joins an empty
-    side (``left_attach_or_nulls``)."""
+    still crashes the join (see scrub_empty_blocks); keyed attaches go
+    through ``stages/candidates.attach_by_key``, which never joins an
+    empty side."""
     return scrub_empty_blocks(left).join(
         scrub_empty_blocks(right),
         join_type,
@@ -113,6 +76,28 @@ def safe_join(
         on=on,
         right_on=right_on,
     )
+
+
+def with_block_size(ds, nbytes: int | None = None):
+    """``ds`` on its own copy of its DataContext, whose
+    ``target_max_block_size`` is ``nbytes`` (the session's when None).
+
+    Ray Data keeps one DataContext per dataset, and every dataset built
+    on it by a lazy transform shares that object, while
+    ``materialize`` copies it. The copy scopes the value to ``ds`` and
+    what is built on it: the session's context and ``ds``'s inputs keep
+    theirs. Use the result in place of ``ds``: the two share a logical
+    plan, which follows the copy's context."""
+    import ray.data
+    from ray.data import DataContext
+
+    ds = ray.data.Dataset.copy(ds, _deep_copy=True)
+    ds.context.target_max_block_size = (
+        DataContext.get_current().target_max_block_size
+        if nbytes is None
+        else nbytes
+    )
+    return ds
 
 
 def read_parquet_clean(path: str, columns: list[str] | None = None, **kwargs):

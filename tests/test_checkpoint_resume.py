@@ -318,14 +318,49 @@ def test_partitioned_output_jsonl_float16_and_nested_nan(ray_session, tmp_path):
 
 def test_scan_plan_records_clustering(ray_session, tmp_path):
     """stats["plan"] records the connected-components decision (path,
-    edge count, rounds) and the pair-attach decision (path, snippets,
-    bytes, pair-id prune) in streamed mode, in a checkpointed run, and
-    in a resume that hits the pairs and clusters stages."""
+    edge count, rounds), the pair-attach decision (path, snippets,
+    bytes, pair-id prune) and the signature stage's own block size and
+    block count in streamed mode, in a checkpointed run, and in a
+    resume that hits the pairs and clusters stages. That block size
+    stays on the stage: after scan() the session's context and every
+    dataset built on res.signatures keep the session's."""
+    from ray.data import DataContext
+
+    from clonehunter_ray.pipelines.scan import (
+        SIGNATURE_BLOCK_BYTES,
+        build_signatures,
+    )
+
+    session = DataContext.get_current().target_max_block_size
+    assert session != SIGNATURE_BLOCK_BYTES
     files, _ = generate_corpus(60, 7)
-    streamed = scan(ray.data.from_arrow(files), EngineConfig()).stats
+    files_ds = ray.data.from_arrow(files)
+    sigs = build_signatures(files_ds, EngineConfig())
+    assert sigs.context.target_max_block_size == SIGNATURE_BLOCK_BYTES
+    assert files_ds.context.target_max_block_size == session
     root = str(tmp_path / "ck")
-    missed = _scan(files, root)[0].stats
-    resumed = _scan(files, root)[0].stats
+    results = [scan(ray.data.from_arrow(files), EngineConfig())]
+    results += [_scan(files, root)[0] for _ in range(2)]
+    for res in results:
+        built = [
+            res.signatures,
+            res.signatures.select_columns(["snippet_id"]),
+            res.signatures.map_batches(lambda t: t, batch_format="pyarrow"),
+            res.pairs,
+            res.findings,
+        ]
+        assert [d.context.target_max_block_size for d in built] == [session] * 5
+    assert DataContext.get_current().target_max_block_size == session
+    streamed, missed, resumed = (res.stats for res in results)
+    assert streamed["plan"]["signatures"] == {
+        "target_max_block_size": SIGNATURE_BLOCK_BYTES,
+        "blocks": results[0].signatures.num_blocks(),
+    }
+    for stats in (missed, resumed):
+        assert stats["plan"]["signatures"] == {
+            "target_max_block_size": SIGNATURE_BLOCK_BYTES,
+            "blocks": None,
+        }
     assert missed["checkpoint"]["clusters"] == "miss"
     assert resumed["checkpoint"]["clusters"] == "hit"
     assert missed["checkpoint"]["pairs"] == "miss"
@@ -346,3 +381,4 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
             "rounds": 0,
         }
     assert streamed["counts"]["findings"] > 0
+

@@ -2,7 +2,7 @@
 
 Ray's hash-shuffle join crashes when one input sequence is GLOBALLY
 empty (zero-column partition tables reach Acero —
-util.left_attach_or_nulls documents the mechanism), so every keyed
+util.scrub_empty_blocks documents the mechanism), so every keyed
 attach goes through stages/candidates.attach_by_key, which never joins
 an empty side. Every dedup-family operator has a legitimate all-unique
 input whose candidate/label/winner side is exactly that, so each one is
@@ -131,6 +131,18 @@ def test_segment_dedup_no_dups(ray_session):
         assert row["dedup_text"] == orig[row["doc_id"]]
 
 
+def _assert_typed_findings(findings) -> None:
+    """An empty scan result still carries the findings columns and
+    types: the rollup's plus the cluster id (clustering is on by
+    default)."""
+    from clonehunter_ray.stages.rollup import FINDINGS_SCHEMA
+
+    schema = findings.schema()
+    assert schema is not None
+    assert schema.names == [*FINDINGS_SCHEMA.names, "cluster_id"]
+    assert schema.types == [*FINDINGS_SCHEMA.types, pa.int64()]
+
+
 def test_scan_clone_free_corpus(ray_session):
     """End-to-end scan over files with no clone pairs at all."""
     from clonehunter_ray.config import EngineConfig
@@ -157,6 +169,7 @@ def test_scan_clone_free_corpus(ray_session):
     )
     res = scan(ray.data.from_arrow(files), EngineConfig())
     assert res.findings.count() == 0
+    _assert_typed_findings(res.findings)
 
 
 def test_scan_clone_free_corpus_join_path(ray_session, monkeypatch):
@@ -190,6 +203,7 @@ def test_scan_clone_free_corpus_join_path(ray_session, monkeypatch):
     res = scan(ray.data.from_arrow(files), EngineConfig())
     assert res.findings.count() == 0
     assert res.stats["plan"]["pairs"]["path"] == "join"
+    _assert_typed_findings(res.findings)
 
 
 def test_cross_corpus_no_overlap(ray_session):

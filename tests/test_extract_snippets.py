@@ -63,6 +63,199 @@ def test_python_syntax_error_yields_zero_units():
     assert extract_python_units("bad.py", "def broken(:\n  pass") == []
 
 
+# every place a def can sit, nested in each other
+WALK_SRC = """\
+import os
+
+
+def outer(a=lambda x: x + 1, *, b=(lambda: 0)):
+    if a:
+        def in_if():
+            pass
+    elif b:
+        def in_elif():
+            pass
+    else:
+        def in_else():
+            pass
+    for i in range(3):
+        def in_for():
+            pass
+    else:
+        def in_for_else():
+            pass
+    while False:
+        def in_while():
+            pass
+    else:
+        def in_while_else():
+            pass
+    class Local:
+        def method(self):
+            def inner():
+                return lambda: 1
+            return inner
+
+    return Local
+
+
+@decorator
+@other(1)
+async def decorated(x):
+    try:
+        def in_try():
+            pass
+    except ValueError:
+        def in_except():
+            pass
+    except (KeyError, TypeError) as e:
+        class InExcept:
+            async def m(self):
+                pass
+    else:
+        def in_try_else():
+            pass
+    finally:
+        def in_finally():
+            pass
+    try:
+        pass
+    except* OSError:
+        def in_except_star():
+            pass
+    with open(x) as f:
+        def in_with():
+            pass
+    async with x as y:
+        async def in_async_with():
+            pass
+    async for z in y:
+        def in_async_for():
+            pass
+    match x:
+        case [1, *rest] if rest:
+            def in_case():
+                pass
+        case {"k": v}:
+            class InCase:
+                def m(self):
+                    pass
+        case _:
+            def in_default():
+                pass
+
+
+class A(Base, metaclass=Meta):
+    x = [lambda: 0 for _ in range(2)]
+
+    @property
+    def p(self):
+        def q():
+            pass
+        return q
+
+    class B:
+        if True:
+            def c(self):
+                pass
+
+
+if __name__ == "__main__":
+    def main():
+        pass
+"""
+
+
+def _reference_units(path: str, source: str) -> list[dict]:
+    """The reference's walk (parsing/python_ast.py:24-67): every child
+    of every node, expressions included — the oracle for
+    extract_python_units' statement-only walk."""
+    import ast
+
+    try:
+        tree = ast.parse(source, filename=path)
+    except (SyntaxError, ValueError):
+        return []
+    lines = source.splitlines()
+    out: list[dict] = []
+    stack: list[str] = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                start = child.lineno
+                end = child.end_lineno
+                out.append(
+                    {
+                        "qualified_name": ".".join([*stack, child.name]),
+                        "start_line": start,
+                        "end_line": end,
+                        "code": "\n".join(lines[start - 1 : end]),
+                    }
+                )
+                stack.append(child.name)
+                visit(child)
+                stack.pop()
+            elif isinstance(child, ast.ClassDef):
+                stack.append(child.name)
+                visit(child)
+                stack.pop()
+            else:
+                visit(child)
+
+    visit(tree)
+    return out
+
+
+@pytest.mark.parametrize(
+    "source",
+    [WALK_SRC, PY_SRC, "def broken(:\n  pass", "", "x = 1\n"],
+    ids=["every-block", "nested-classes", "syntax-error", "empty", "no-defs"],
+)
+def test_statement_walk_matches_reference_walk(source):
+    want = _reference_units("m.py", source)
+    assert extract_python_units("m.py", source) == want
+    if source is WALK_SRC:
+        assert [u["qualified_name"] for u in want] == [
+            "outer",
+            *(
+                f"outer.{n}"
+                for n in (
+                    "in_if", "in_elif", "in_else", "in_for", "in_for_else",
+                    "in_while", "in_while_else", "Local.method",
+                    "Local.method.inner",
+                )
+            ),
+            "decorated",
+            *(
+                f"decorated.{n}"
+                for n in (
+                    "in_try", "in_except", "InExcept.m", "in_try_else",
+                    "in_finally", "in_except_star", "in_with",
+                    "in_async_with", "in_async_for", "in_case", "InCase.m",
+                    "in_default",
+                )
+            ),
+            "A.p",
+            "A.p.q",
+            "A.B.c",
+            "main",
+        ]
+
+
+def test_statement_walk_matches_reference_walk_on_corpus(tiny_corpus):
+    files, _ = tiny_corpus
+    n = 0
+    for path, content in zip(
+        files["path"].to_pylist(), files["content"].to_pylist()
+    ):
+        if path.endswith(".py") and content is not None:
+            want = _reference_units(path, content)
+            assert extract_python_units(path, content) == want, path
+            n += len(want)
+    assert n > 0
+
+
 def test_text_unit_whole_file_and_blank_dropped():
     assert extract_text_unit("a.txt", "  \n \n") == []
     u = extract_text_unit("dir/a.txt", "x\ny\nz\n")

@@ -228,7 +228,7 @@ def test_run_ranks_matches_pandas_cumcount():
     assert H.run_ranks(s).tolist() == [0, 1, 0, 0, 1, 2]
 
 
-def test_flat_batch_kernels_match_per_row_forms():
+def test_flat_batch_kernels_match_per_row_forms(monkeypatch):
     """The signature stage's flat batch kernels (batch_shingle_sets /
     dedup_per_row / simhash_from_flat / MinHasher.signatures_flat) are
     bit-identical to the per-row forms they replace — including empty
@@ -285,6 +285,31 @@ def test_flat_batch_kernels_match_per_row_forms():
     )
     assert e_sh.size == 0 and e_cnt.tolist() == [0, 0, 0, 0]
     assert H.simhash_from_flat(e_sh, e_cnt).tolist() == [0, 0, 0, 0]
+
+    # SimHash votes: exact ties (2 * count == n: every bit of x and ~x,
+    # 4-value rows with each bit in two of them), a row of more than
+    # 65,535 values, and a batch that crosses the row-chunk boundary by
+    # rows and, with the value bound lowered, by values
+    x = rng.integers(0, 2**63, size=3, dtype=np.int64).astype(np.uint64)
+    lists = [
+        np.array([x[0], ~x[0]]),
+        np.array([x[0], x[0], ~x[0], ~x[0]]),
+        np.array([x[0], x[1], ~x[0], ~x[1]]),
+        np.array([0, 2**64 - 1, 2**63, 2**63 - 1], dtype=np.uint64),
+        np.array([x[2]]),
+        rng.integers(0, 2**63, size=70_000, dtype=np.int64).astype(np.uint64),
+    ]
+    lists += [
+        rng.integers(0, 2**63, size=int(m), dtype=np.int64).astype(np.uint64)
+        for m in rng.integers(0, 40, size=2 * H._SIMHASH_CHUNK_ROWS + 7)
+    ]
+    counts = np.array([len(v) for v in lists], dtype=np.int64)
+    want = H.simhash_batch(lists)
+    assert want[:4].tolist() == [0, 0, 0, 0] and want[4] == x[2]
+    for chunk_values in (H._SIMHASH_CHUNK_VALUES, 1000):
+        monkeypatch.setattr(H, "_SIMHASH_CHUNK_VALUES", chunk_values)
+        got = H.simhash_from_flat(np.concatenate(lists), counts)
+        assert np.array_equal(got, want)
 
 
 def test_signature_stage_arrow_layout_matches_per_row_build():
