@@ -186,17 +186,16 @@ class ExecConfig:
     # clamp(band_rows / target, 64, 4096) — the cap bounds tiny-block
     # overhead on small corpora and scheduler pressure on huge ones.
     shuffle_target_rows: int = 1_500_000
-    # band-exchange sort-shuffle strategy: "auto" switches the session
-    # to Ray's push-based sort shuffle once the estimated band-row
-    # volume passes push_shuffle_band_rows; "push"/"pull" force it.
+    # sort-shuffle strategy of the scan's pair stage (its snippet-id
+    # sort and band exchange): "auto" picks Ray's push-based sort
+    # shuffle once the estimated band-row volume passes
+    # push_shuffle_band_rows; "push"/"pull" force it.
     # Measured ladder (BASELINE.md round 5, findings identical at every
     # point): push is 3-6% SLOWER at 20k files (4.5M band rows), ~17%
     # faster at 100k (22M), ~8% faster at 400k (90M), ~1.4x at 800k
     # (181M), and 3.3x at 1.6M (362M) where the pull-based sort spills
-    # 53 GB and goes I/O-bound. NOTE: applies to the session
-    # DataContext (Ray Data has no per-operator strategy), so it
-    # affects later sorts in the same session; auto never downgrades a
-    # session already set to push.
+    # 53 GB and goes I/O-bound. Set on the stage's own DataContext, so
+    # the session's is left as it was.
     shuffle_strategy: str = "auto"
     # auto mode's cutover, between the measured push-slower 20k/4.5M
     # point and the push-faster 100k/22M point

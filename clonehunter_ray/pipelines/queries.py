@@ -3521,7 +3521,19 @@ def cross_corpus_dedup_documents(
             Max("jac6", alias_name="best_jac6"),
         )
     )
-    return agg.select_columns(["doc_id", "n_ref_matches", "best_jac6"])
+    out = agg.select_columns(["doc_id", "n_ref_matches", "best_jac6"]).materialize()
+    if out.count() == 0:
+        # no cross-side pair: the aggregate's empty blocks carry no schema
+        return ray.data.from_arrow(
+            pa.schema(
+                [
+                    ("doc_id", pa.int64()),
+                    ("n_ref_matches", pa.int64()),
+                    ("best_jac6", pa.float64()),
+                ]
+            ).empty_table()
+        )
+    return out
 
 
 def global_shuffle_documents(sf_dir: str, seed: str = "s42", n_shards: int = 4):

@@ -12,19 +12,14 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
        target_max_block_size is SIGNATURE_BLOCK_BYTES; every later
        stage plans on the session's)
       [checkpoint: signatures]
-      -- signatures fit the broadcast cutover (the default path):
-      -> broadcast payload table (one plasma table, sid = row index)
-      -> map_batches(explode_bands_packed)    # (part, band keys, sids) blobs
+      -> sort(snippet_id), materialized       # blocks = the sid-range index
+      -> one task per index block: explode_bands_packed
+                                              # (part, band keys, sids) blobs
       -> groupby(part).map_groups(emit)       # THE shuffle: bucket pairs
-      -> map_batches(pre_gate_pairs_indexed)  # size/kind upper-bound mask
+      -> map_batches(attach_sids(kind, sizes) -> pre_gate_pairs)
+                                              # size/kind upper-bound mask
       -> dedupe_pairs                         # (a,b) hash partition + group_by
-      -> map_batches(take payloads by sid)
-      -- above it (string ids):
-      -> band_pairs(explode_bands)            # band shuffle + emit + dedupe
-      -> prune signatures to paired ids       # semi-join, pair-bounded
-      -> attach_pair_payload(kind, sizes)     # narrow a_*, b_* columns
-      -> map_batches(pre_gate_pairs)          # the same size/kind mask
-      -> attach_pair_payload(payload)         # gate survivors only
+      -> map_batches(attach_sids(payload))    # range-take by sid
       -> map_batches(verify_pairs)            # exact Jaccard + filters
       [checkpoint: pairs]
       -> groupby(pair_key).map_groups(rollup) # finding aggregation
@@ -46,14 +41,12 @@ import ray.data
 from clonehunter_ray.config import EngineConfig
 from clonehunter_ray.stages import clustering as C
 from clonehunter_ray.stages.candidates import (
-    attach_pair_payload,
-    band_pairs,
+    attach_sids,
     dedupe_pairs,
-    emit_pairs_partition,
-    explode_bands,
-    fits_broadcast,
+    emit_pairs_packed_partition,
+    explode_bands_packed,
     pre_gate_pairs,
-    pre_gate_pairs_indexed,
+    sid_index,
 )
 from clonehunter_ray.stages.extract import add_content_sha256, extract_units_batch
 from clonehunter_ray.stages.signatures import signatures_task
@@ -62,8 +55,9 @@ from clonehunter_ray.stages.verify import verify_pairs_batch
 from clonehunter_ray.state import checkpoint as ckpt
 from clonehunter_ray.util import with_block_size
 
-# columns each pair side carries into verification, attached by
-# snippet_id
+# columns each pair side carries into verification, range-taken by
+# sid (token_seq, the ordered token hashes, joins them only when the
+# suffix-array substring rescue needs it)
 _JOIN_PAYLOAD = [
     "kind",
     "unit_id",
@@ -90,58 +84,22 @@ _JOIN_PAYLOAD = [
 SIGNATURE_BLOCK_BYTES = 32 << 20
 
 
-# Join path only: when the deduped pair table has at most this many
-# rows, its distinct snippet-id set is broadcast once and the signature
-# side is FILTERED to paired ids before the payload attaches (measured
-# 400k files: 157k pairs vs 2.83M signatures — the unpruned joins
-# shipped 89% dead payload). Above it the id set stops being
-# broadcastable and the joins run unpruned. 20M pairs ~= 2.5 GB of
-# 64-byte ids in plasma.
-PAIR_ID_PRUNE_MAX_PAIRS = 20_000_000
-
-
-def _apply_shuffle_strategy(config: EngineConfig, band_rows: int) -> None:
-    """Pick the band exchange's sort-shuffle implementation
-    (ExecConfig.shuffle_strategy): push-based once the estimated band
-    volume would overflow the object store and go spill-I/O-bound
-    (measured 3.3x at 1.6M files, BASELINE.md round 5), pull-based
-    below it where push costs a few percent. Session-level knob — Ray
-    Data has no per-operator strategy — so "pull" sets pull explicitly
-    (a session an earlier auto scan upgraded stays push otherwise),
-    while auto only ever UPGRADES the session to push (never silently
-    downgrades a push session)."""
-    from ray.data import DataContext
+def _shuffle_strategy(config: EngineConfig, band_rows: int):
+    """The sort-shuffle implementation of the pair stage's sort and band
+    exchange (ExecConfig.shuffle_strategy): "push" and "pull" as set;
+    "auto" is push-based once the estimated band volume would overflow
+    the object store and go spill-I/O-bound (measured 3.3x at 1.6M
+    files, BASELINE.md round 5), pull-based below it where push costs a
+    few percent. ``build_pairs`` sets it on those datasets' own
+    DataContexts, never on the session's."""
     from ray.data.context import ShuffleStrategy
 
     mode = config.exec.shuffle_strategy
-    ctx = DataContext.get_current()
-    if mode == "pull":
-        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    elif mode == "push" or band_rows > config.exec.push_shuffle_band_rows:
-        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-
-
-def _join_payload(config: EngineConfig) -> list[str]:
-    # token_seq (ordered token hashes) only rides the shuffle when the
-    # suffix-array substring rescue needs it
-    if config.substring.enabled:
-        return _JOIN_PAYLOAD + ["token_seq"]
-    return _JOIN_PAYLOAD
-
-
-def _gate_kwargs(config: EngineConfig) -> dict:
-    return {
-        "thresholds": config.thresholds,
-        "substr_floor": config.substring.floor if config.substring.enabled else None,
-    }
-
-
-def _verified(pairs: "ray.data.Dataset", config: EngineConfig) -> "ray.data.Dataset":
-    return pairs.map_batches(
-        verify_pairs_batch,
-        fn_kwargs={"thresholds": config.thresholds, "substring": config.substring},
-        batch_format="pyarrow",
-    )
+    if mode == "push" or (
+        mode == "auto" and band_rows > config.exec.push_shuffle_band_rows
+    ):
+        return ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+    return ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
 
 
 @dataclass
@@ -226,37 +184,32 @@ def build_pairs(
     metrics=None,
     plan: dict | None = None,
 ) -> "ray.data.Dataset":
-    """signatures -> verified pairs (the wide half: LSH shuffle, then
-    payload attachment by broadcast lookup or partitioned hash join).
+    """signatures -> verified pairs (the wide half), one pipeline for
+    every corpus size.
 
-    When the signature table ``fits_broadcast`` (stages/candidates.py,
-    the one broadcast-or-join rule; at 1.79 KiB per snippet its row
-    limit binds first) the payload table is broadcast ONCE and the
-    band shuffle moves (band_key:u64, sid:i32) rows — ~12 bytes
-    instead of a ~64-byte snippet-id string, the pipeline's dominant
-    shuffle volume. Otherwise string ids flow, and ``attach_pair_payload``
-    attaches the narrow gate columns, then (to gate survivors) the
-    payload, each behind the same rule on the signature side left after
-    the pair-id prune. The decision and its inputs land in
-    ``plan`` (when given): ``path``, ``snippets``, ``bytes`` and
-    ``pair_id_prune``.
+    A sid is the global rank of ``snippet_id``. The signature table,
+    narrowed to the ids, band keys and payload, is sorted by it once and
+    materialized, and its blocks in order are the sid-range index
+    (``candidates.sid_index``). Each index block explodes in one task
+    into packed (band key, sid) blobs, so the band shuffle moves ~12
+    bytes per band row instead of a ~64-byte id string (the pipeline's
+    dominant shuffle volume). The emitted sid pairs are gated on narrow
+    columns and, after the pair dedup, get their payload; both come
+    from the one range-take kernel (``candidates.attach_sids``), so no
+    string crosses a shuffle and no hash join runs. The plan lands in
+    ``plan`` (when given): ``snippets``, ``index_blocks``,
+    ``partitions`` and ``shuffle_strategy``.
     """
-    cap = config.signature.max_bucket_pairs_full
-    payload_cols = _join_payload(config)
+    sig = config.signature
+    substring = config.substring.enabled
+    payload_cols = _JOIN_PAYLOAD + (["token_seq"] if substring else [])
     # plan on the session's block size, whatever context the
-    # signatures were built on (build_signatures scopes its own)
+    # signatures were built on (build_signatures scopes its own); the
+    # copy's context also carries the sort's shuffle strategy below
     signatures = with_block_size(signatures)
-
-    fits, n_sigs, nbytes = fits_broadcast(signatures)
-    plan = {} if plan is None else plan
-    plan.update(
-        path="broadcast" if fits else "join",
-        snippets=n_sigs,
-        bytes=nbytes,
-        pair_id_prune=False,
-    )
-    band_rows = n_sigs * config.signature.num_bands
-    _apply_shuffle_strategy(config, band_rows)
+    n_sigs = signatures.count()
+    band_rows = n_sigs * sig.num_bands
+    strategy = _shuffle_strategy(config, band_rows)
     nparts = config.exec.shuffle_partitions
     if not nparts:
         # autoscale the band exchange with the corpus: fixed counts go
@@ -272,183 +225,83 @@ def build_pairs(
             )
         )
 
-    if fits:
-        return _pairs_broadcast(
-            signatures, config, cap, nparts, payload_cols, metrics
-        )
-
-    # scale path: string ids, payloads attached by snippet_id
-    deduped = band_pairs(
-        signatures.select_columns(["snippet_id", "band_keys"]).map_batches(
-            explode_bands,
-            fn_kwargs={"id_col": "snippet_id"},
-            batch_format="pyarrow",
-        ),
-        lambda g: emit_pairs_partition(
-            g,
-            "snippet_id",
-            cap,
-            config.signature.skew_mode,
-            config.signature.salt_rounds,
-            metrics,
-        ),
-        nparts,
-    ).materialize()
-    n_pairs = deduped.count()
-
-    # semi-join prune (PAIR_ID_PRUNE_MAX_PAIRS): only snippet ids that
-    # appear in a surviving band pair can contribute to EITHER attach
-    # below, and the pair table is capped by the banding
-    # accountant while signatures are corpus-scale
-    plan["pair_id_prune"] = 0 < n_pairs <= PAIR_ID_PRUNE_MAX_PAIRS
-    if plan["pair_id_prune"]:
-        import pyarrow.compute as pc
-
-        # per-block local unique FIRST (a combiner: band-duplicated ids
-        # collapse in the workers), then one C-speed Arrow hash-unique
-        # over the collected remainder — no driver-side Python-object
-        # sort (np.unique on an object array compared ~40M strings
-        # element-by-element at the 20M-pair limit)
-        def _block_ids(t: pa.Table) -> pa.Table:
-            both = pa.chunked_array(
-                [t["a_id"].combine_chunks(), t["b_id"].combine_chunks()]
-            )
-            return pa.table({"snippet_id": pc.unique(both)})
-
-        id_parts = [
-            t
-            for t in ray.get(
-                deduped.select_columns(["a_id", "b_id"])
-                .map_batches(_block_ids, batch_format="pyarrow")
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        paired_ids = pc.unique(pa.concat_tables(id_parts)["snippet_id"])
-        ids_ref = ray.put(paired_ids)
-
-        def _only_paired(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            wanted = ray.get(ids_ref)
-            return t.filter(pc.is_in(t["snippet_id"], value_set=wanted))
-
-        # ONE filter pass, materialized: both attaches below consume
-        # the signature side, and feeding each its own lazy filter
-        # chain re-streamed the full payload per join (measured: the
-        # heavy joins DOUBLED, 39.7 -> 83.8 s). The pruned table is
-        # pair-bounded (~11% of signatures at 400k files), so pinning
-        # it is cheap.
-        signatures = signatures.map_batches(
-            _only_paired, batch_format="pyarrow", batch_size=8192
-        ).materialize()
-
-    # narrow attach (kind + sizes, ~20 bytes/row) and the size/kind
-    # gate first, so the heavy payload attach (shingle/token blobs)
-    # moves only gate survivors, not the ~12x band-duplicated candidates
-    gated = (
-        attach_pair_payload(
-            deduped, signatures, "snippet_id", ["kind", "n_shingles", "n_tokens"],
-            nparts,
-        )
-        .map_batches(
-            pre_gate_pairs, fn_kwargs=_gate_kwargs(config), batch_format="pyarrow"
-        )
-        .select_columns(["a_id", "b_id", "capped"])
+    signatures.context.shuffle_strategy = strategy
+    index = sid_index(
+        signatures.select_columns(["snippet_id", "band_keys", *payload_cols])
+        .sort("snippet_id")
+        .materialize()
     )
-    return _verified(
-        attach_pair_payload(gated, signatures, "snippet_id", payload_cols, nparts),
-        config,
-    )
-
-
-def _pairs_broadcast(
-    signatures: "ray.data.Dataset",
-    config: EngineConfig,
-    cap: int,
-    nparts: int,
-    payload_cols: list[str],
-    metrics=None,
-) -> "ray.data.Dataset":
-    """Broadcast path: int-sid band shuffle + Table.take payload attach.
-
-    The payload never funnels through the driver: the materialized
-    signature BLOCKS stay in the object store (``to_arrow_refs``) and
-    each worker process assembles (table, id->row index) once, caching
-    it per broadcast key (plasma reads are zero-copy; concat_tables
-    only chains chunk references).
-    """
-    from clonehunter_ray.stages.candidates import (
-        emit_pairs_packed_partition,
-        explode_bands_packed,
-        make_broadcast_handle,
-    )
-
-    # combine ONCE in a task: the combined table lands in plasma a
-    # single time and every worker maps it zero-copy (per-worker
-    # combining copied the payload into every worker heap). A split
-    # light/heavy handle pair was A/B-tested and is NOT faster: the
-    # heavy blob combine runs late and contends with the pipeline,
-    # while the single combine (num_cpus=0, starts the moment the
-    # signature blocks exist) overlaps for free.
-    ref = make_broadcast_handle(
-        signatures, ["snippet_id", *payload_cols], "snippet_id"
+    _, starts, blocks = index
+    plan = {} if plan is None else plan
+    plan.update(
+        snippets=n_sigs,
+        index_blocks=len(blocks),
+        partitions=nparts,
+        shuffle_strategy=strategy.value,
     )
 
     # packed band shuffle: each explode task pre-splits its band rows
     # by part and ships P blob rows, so the groupby sort handles
-    # thousands of fat rows instead of millions of 12-byte rows (the
-    # per-row sort machinery was the slowest, worst-scaling pairs
-    # operator — 19 s at 100k files / 16 CPUs; see
+    # thousands of fat rows instead of millions of 12-byte rows (see
     # candidates.explode_bands_packed)
-    packed = signatures.select_columns(
-        ["snippet_id", "band_keys"]
-    ).map_batches(
-        explode_bands_packed,
-        fn_kwargs={"index_ref": ref, "num_partitions": nparts},
-        batch_format="pyarrow",
+    explode = ray.remote(explode_bands_packed)
+    packed = ray.data.from_arrow_refs(
+        [
+            explode.remote(block, int(start), nparts)
+            for block, start in zip(blocks, starts)
+        ]
     )
+    packed.context.shuffle_strategy = strategy
     candidates = packed.groupby("part").map_groups(
         lambda g: emit_pairs_packed_partition(
-            g,
-            cap,
-            skew_mode=config.signature.skew_mode,
-            salt_rounds=config.signature.salt_rounds,
-            metrics=metrics,
+            g, sig.max_bucket_pairs_full, sig.skew_mode, sig.salt_rounds, metrics
         ),
         batch_format="pyarrow",
     )
 
-    # numpy size/kind pre-gate runs BEFORE the global pair dedup: a
-    # clone pair collides in ~12 bands (measured dup factor 11.7x at
-    # 20k files), and the gate is a pure mask over broadcast int
-    # columns whose verdict is identical for every duplicate — gating
-    # first shrinks the dedup shuffle's input ~13x (emit output ->
-    # gate survivors), where gating after only shrank the attach.
-    candidates = candidates.map_batches(
-        pre_gate_pairs_indexed,
-        fn_kwargs={"index_ref": ref, **_gate_kwargs(config)},
-        batch_format="pyarrow",
+    # the size/kind gate runs BEFORE the global pair dedup: a clone
+    # pair collides in ~12 bands (measured dup factor 11.7x at 20k
+    # files), and the gate's verdict is identical for every duplicate
+    # — gating first shrinks the dedup shuffle's input ~13x
+    gated = (
+        candidates.map_batches(
+            attach_sids,
+            fn_kwargs={"index": index, "cols": ["kind", "n_shingles", "n_tokens"]},
+            batch_format="pyarrow",
+        )
+        .map_batches(
+            pre_gate_pairs,
+            fn_kwargs={
+                "thresholds": config.thresholds,
+                "substr_floor": config.substring.floor if substring else None,
+            },
+            batch_format="pyarrow",
+        )
+        .select_columns(["a_id", "b_id", "capped"])
     )
-    deduped = dedupe_pairs(candidates, nparts)
+    return (
+        dedupe_pairs(gated, nparts)
+        .map_batches(
+            _with_payload,
+            fn_kwargs={"index": index, "cols": payload_cols},
+            batch_format="pyarrow",
+        )
+        .map_batches(
+            verify_pairs_batch,
+            fn_kwargs={"thresholds": config.thresholds, "substring": config.substring},
+            batch_format="pyarrow",
+        )
+    )
 
-    def _attach(batch: pa.Table) -> pa.Table:
-        from clonehunter_ray.stages.candidates import get_broadcast_payload
 
-        table, _idx = get_broadcast_payload(ref, need_index=False)
-        a_side = table.take(batch["a_id"])
-        b_side = table.take(batch["b_id"])
-        cols: dict[str, pa.Array] = {
-            "a_id": a_side["snippet_id"],
-            "b_id": b_side["snippet_id"],
-            "capped": batch["capped"],
-        }
-        for cname in payload_cols:
-            cols[f"a_{cname}"] = a_side[cname]
-            cols[f"b_{cname}"] = b_side[cname]
-        return pa.table(cols)
-
-    return _verified(deduped.map_batches(_attach, batch_format="pyarrow"), config)
+def _with_payload(batch: pa.Table, index, cols: list[str]) -> pa.Table:
+    """Sid pairs -> snippet-id pairs with both sides' payload columns,
+    the rows verification reads."""
+    out = attach_sids(batch, index, ["snippet_id", *cols])
+    for p in ("a_", "b_"):
+        i = out.schema.get_field_index(f"{p}id")
+        out = out.set_column(i, f"{p}id", out[f"{p}snippet_id"])
+    return out
 
 
 def build_findings(

@@ -4,8 +4,8 @@ that follow it.
 This dissolves the reference's O(N^2/P)-per-worker k-NN self-join
 (reference similarity/candidates.py:117-164, where every worker rebuilt
 the FULL vector index) into the one wide dependency of every LSH
-pipeline, built from four pieces shared by the scan (both paths), the
-document pipelines, SimHash and embedding LSH:
+pipeline, built from four pieces shared by the scan, the document
+pipelines, SimHash and embedding LSH:
 
     explode_bands         (id, band_keys) -> (band_key, id) rows
     band_pairs            band_key % P partition -> emit per partition
@@ -29,14 +29,17 @@ from boilerplate shingles (license headers etc.), the analogue of
 stop-shingle handling.
 
 Payloads never ride the band shuffle: pairs carry ids only, and the
-payload columns attach afterwards (``attach_pair_payload``, broadcast
-or partitioned join behind the one ``fits_broadcast`` rule). Every
-other keyed lookup of the engine (dimension and vocabulary lookups,
-cluster ids and component labels, winner and summary left attaches) is
-the same ``attach_by_key``. The scan drops pairs that cannot verify
-before the payload attach with ``verify.size_kind_gate``, fed from
-the broadcast payload by sid (``pre_gate_pairs_indexed``) or from
-attached narrow columns (``pre_gate_pairs``).
+payload columns attach afterwards. The document pipelines attach by
+key (``attach_pair_payload``, broadcast or partitioned join behind the
+one ``fits_broadcast`` rule); every other keyed lookup of the engine
+(dimension and vocabulary lookups, cluster ids and component labels,
+winner and summary left attaches) is the same ``attach_by_key``. The
+scan's ids are int sids, the global ranks of ``snippet_id``: its
+signature table, sorted once, is the sid-range index (``sid_index``),
+and one range-take kernel (``take_sids``, paired as ``attach_sids``)
+attaches the narrow columns that ``pre_gate_pairs`` gates on
+(``verify.size_kind_gate``) and then the survivors' payload, with no
+join.
 """
 
 from __future__ import annotations
@@ -297,13 +300,23 @@ def band_pairs(bands, emit, num_partitions: int):
     )
 
 
-# assembled broadcast payloads per worker process, keyed by broadcast
-# id, each with what the worker derived from it once (``index``: key ->
-# row dict, ``keys``: the key column as numpy); bounded LRU-ish so
-# concurrent pipelines (scan + doc dedup sharing a worker pool) can
-# hold their payloads without thrashing re-assembly
+# plasma tables mapped per worker process, keyed by broadcast or sid
+# index id: a broadcast payload with what the worker derived from it
+# once (``index``: key -> row dict, ``keys``: the key column as numpy),
+# or a sid index's blocks by position; bounded LRU-ish so concurrent
+# pipelines (scan + doc dedup sharing a worker pool) can hold theirs
+# without thrashing re-assembly
 _PAYLOAD_CACHE: dict[str, dict] = {}
 _PAYLOAD_CACHE_MAX = 4
+
+
+def _cache_entry(key: str) -> dict:
+    entry = _PAYLOAD_CACHE.get(key)
+    if entry is None:
+        while len(_PAYLOAD_CACHE) >= _PAYLOAD_CACHE_MAX:
+            _PAYLOAD_CACHE.pop(next(iter(_PAYLOAD_CACHE)))
+        entry = _PAYLOAD_CACHE[key] = {}
+    return entry
 
 
 def combine_payload_blocks(cols, key_col, *tables: pa.Table) -> pa.Table:
@@ -335,14 +348,11 @@ def combine_payload_blocks(cols, key_col, *tables: pa.Table) -> pa.Table:
     combined = pa.concat_tables(
         [t.select(list(cols)) for t in usable]
     ).combine_chunks()
-    # sort by the key column: block arrival order is NOT deterministic
-    # (preserve_order is off), and downstream the row index (sid) is
-    # used as the capped-bucket hub choice (min sid) and the salted
-    # sub-bucket hash input — sorting pins sid to the key's rank, so
-    # hub = lexicographically smallest id (agreeing with the string
-    # scale path's min-id convention) and the emitted pair set is
-    # identical run-to-run. Bounded by the broadcast cutover (<= 2M
-    # rows), one in-plasma sort in the zero-CPU combiner.
+    # sort by the key column: ``_attach_broadcast`` binary-searches it,
+    # and since block arrival order is NOT deterministic (preserve_order
+    # is off) the sort also fixes the row order run-to-run. Bounded by
+    # the broadcast cutover (<= 2M rows), one in-plasma sort in the
+    # zero-CPU combiner.
     key = key_col if key_col in combined.column_names else cols[0]
     if combined.num_rows:
         combined = combined.sort_by([(key, "ascending")]).combine_chunks()
@@ -377,14 +387,11 @@ def broadcast_blocks(block_refs, cols: list[str], key_col: str):
 def _payload_entry(ref) -> dict:
     """The worker's ``_PAYLOAD_CACHE`` entry for a broadcast handle,
     mapping the combined table from plasma on first use."""
-    entry = _PAYLOAD_CACHE.get(ref[0])
-    if entry is None:
+    entry = _cache_entry(ref[0])
+    if "table" not in entry:
         import ray
 
-        payload = ray.get(ref[1])
-        while len(_PAYLOAD_CACHE) >= _PAYLOAD_CACHE_MAX:
-            _PAYLOAD_CACHE.pop(next(iter(_PAYLOAD_CACHE)))
-        entry = _PAYLOAD_CACHE[ref[0]] = {"table": payload}
+        entry["table"] = ray.get(ref[1])
     return entry
 
 
@@ -414,13 +421,13 @@ def _broadcast_keys(ref) -> tuple[pa.Table, np.ndarray]:
     return entry["table"], entry["keys"]
 
 
-# The one broadcast-or-join rule for pair-payload attaches (the scan's
-# signature table and the document pipelines' shingle/token blobs).
-# Measured at 200k files (BASELINE.md "Broadcast-cutover thresholds
-# validated by measurement"): the scan's signature table is 1.79 KiB
-# per snippet, so 2M rows ~= 3.4 GiB of plasma plus a ~180 MB id->row
-# dict per worker, comfortably within a 128 GB node; the join path was
-# 7x slower than broadcast at 423k snippets.
+# The one broadcast-or-join rule for keyed attaches (the document
+# pipelines' shingle/token blobs, dimension and vocabulary lookups).
+# Measured at 200k files on the scan's former broadcast payload
+# (BASELINE.md "Broadcast-cutover thresholds validated by
+# measurement"): 1.79 KiB per snippet, so 2M rows ~= 3.4 GiB of plasma
+# plus a ~180 MB id->row dict per worker, comfortably within a 128 GB
+# node; the join path was 7x slower than broadcast at 423k snippets.
 BROADCAST_MAX_ROWS = 2_000_000
 # Byte backstop for payloads of unbounded width per row (document token
 # blobs): a corpus under the row limit but over this size takes the
@@ -624,48 +631,13 @@ def attach_pair_payload(
     )
 
 
-_DERIVED_CACHE: dict[tuple, tuple] = {}
-
-
-def pre_gate_pairs_indexed(
-    batch: pa.Table, index_ref, thresholds, substr_floor: float | None
-) -> pa.Table:
-    """``verify.size_kind_gate`` over int-sid pairs, fed from the
-    broadcast payload's ``n_shingles`` / ``n_tokens`` / ``kind`` columns
-    gathered by sid (the per-sid arrays are derived once per worker
-    process), so the payload ``Table.take`` and exact verification only
-    see survivors. At 60k files this cuts ~1.5M deduped candidates to
-    thousands."""
-    from clonehunter_ray.stages.verify import kind_gates, size_kind_gate
-
-    if batch.num_rows == 0:
-        return batch
-    key_tuple = (index_ref[0], thresholds)  # stable broadcast uuid
-    if key_tuple not in _DERIVED_CACHE:
-        payload, _ = get_broadcast_payload(index_ref, need_index=False)
-        _DERIVED_CACHE.clear()
-        _DERIVED_CACHE[key_tuple] = (
-            payload["n_shingles"].to_numpy(zero_copy_only=False),
-            payload["n_tokens"].to_numpy(zero_copy_only=False),
-            kind_gates(payload["kind"], thresholds),
-        )
-    per_sid = _DERIVED_CACHE[key_tuple]
-
-    def side(col: str) -> tuple:
-        sid = batch[col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return tuple(x[sid] for x in per_sid)
-
-    keep = size_kind_gate(side("a_id"), side("b_id"), thresholds, substr_floor)
-    return batch.filter(pa.array(keep, pa.bool_()))
-
-
 def pre_gate_pairs(
     batch: pa.Table, thresholds, substr_floor: float | None
 ) -> pa.Table:
     """``verify.size_kind_gate`` fed from attached ``a_``/``b_``
-    ``n_shingles`` / ``n_tokens`` / ``kind`` columns (the scan's join
-    path attaches these narrow columns first, so the heavy payload
-    attach only moves survivors)."""
+    ``n_shingles`` / ``n_tokens`` / ``kind`` columns (the scan attaches
+    these narrow columns first, so the payload attach only takes for
+    survivors)."""
     from clonehunter_ray.stages.verify import kind_gates, size_kind_gate
 
     def side(p: str) -> tuple:
@@ -679,17 +651,115 @@ def pre_gate_pairs(
     return batch.filter(pa.array(keep, pa.bool_()))
 
 
+def _id_bounds(block: pa.Table) -> tuple:
+    """``(first id, last id, first id not above its predecessor or
+    None)`` of one block's ``snippet_id`` column."""
+    ids = block["snippet_id"]
+    bad = pc.less_equal(ids[1:], ids[:-1]).to_numpy(zero_copy_only=False)
+    hit = np.flatnonzero(bad)
+    return (
+        ids[0].as_py(),
+        ids[-1].as_py(),
+        ids[int(hit[0]) + 1].as_py() if len(hit) else None,
+    )
+
+
+def sid_index(ds) -> tuple:
+    """The sid-range index of ``ds``, a materialized dataset sorted by
+    ``snippet_id``: sid = the row's global rank, so its non-empty blocks
+    in order hold sids ``[start_i, start_i + rows_i)``. Row counts come
+    from the blocks' metadata. Returns ``(id, starts, block refs)`` for
+    ``take_sids``.
+
+    A sid must name one row, so ids must increase strictly within each
+    block and across block boundaries; a repeated id or blocks out of
+    order raise ``ValueError`` naming the offending id."""
+    import uuid
+
+    import ray
+
+    blocks = [
+        (ref, meta.num_rows)
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]
+    refs = [ref for ref, _ in blocks]
+    bounds = ray.get([ray.remote(num_cpus=0)(_id_bounds).remote(r) for r in refs])
+    last = None
+    for first, block_last, bad in bounds:
+        if last is not None and first <= last:
+            bad = first
+        if bad is not None:
+            raise ValueError(
+                f"snippet_id {bad!r} does not increase strictly: the sid "
+                "index needs unique ids sorted across its blocks"
+            )
+        last = block_last
+    starts = np.cumsum([0] + [n for _, n in blocks], dtype=np.int64)[:-1]
+    return (str(uuid.uuid4()), starts, refs)
+
+
+def _index_block(index, i: int) -> pa.Table:
+    """Block ``i`` of a sid index, mapped from plasma (zero-copy) once
+    per worker process."""
+    blocks = _cache_entry(index[0])
+    if i not in blocks:
+        import ray
+
+        blocks[i] = ray.get(index[2][i])
+    return blocks[i]
+
+
+def take_sids(sids, index, cols: list[str]) -> pa.Table:
+    """The range-take kernel: the ``cols`` of the index rows named by
+    ``sids`` (any int array), in ``sids``' order. Sids are split by
+    owning block (``searchsorted`` on the starts), each touched block is
+    gathered with one ``take``, and the row order is restored; no
+    shuffle and no join."""
+    _, starts, _ = index
+    sids = np.asarray(sids, dtype=np.int64)
+    blk = np.searchsorted(starts, sids, side="right") - 1
+    order = np.argsort(blk, kind="stable")
+    touched, lo = np.unique(blk[order], return_index=True)
+    hi = np.append(lo[1:], len(order))
+    parts = [
+        _index_block(index, int(b))
+        .select(cols)
+        .take(pa.array(sids[order[l:h]] - starts[b]))
+        for b, l, h in zip(touched, lo, hi)
+    ]
+    if not parts:
+        return _index_block(index, 0).select(cols).slice(0, 0)
+    out = pa.concat_tables(parts)
+    if len(parts) > 1:
+        restore = np.empty_like(order)
+        restore[order] = np.arange(len(order))
+        out = out.take(restore)
+    return out
+
+
+def attach_sids(batch: pa.Table, index, cols: list[str]) -> pa.Table:
+    """Sid pair rows (``a_id``, ``b_id``, ...) plus ``a_<col>`` and
+    ``b_<col>`` for every column of ``cols``, range-taken from the
+    index (``take_sids``)."""
+    for p in ("a_", "b_"):
+        side = take_sids(batch[f"{p}id"].to_numpy(zero_copy_only=False), index, cols)
+        for c in cols:
+            batch = batch.append_column(f"{p}{c}", side[c])
+    return batch
+
+
 def explode_bands_packed(
-    batch: pa.Table, index_ref, num_partitions: int
+    block: pa.Table, start: int, num_partitions: int
 ) -> pa.Table:
-    """signatures batch -> AT MOST ``num_partitions`` rows of
+    """One sid index block -> AT MOST ``num_partitions`` rows of
     (part: i64, keys: binary, sids: binary) where the blobs are the
-    raw little-endian u64 band keys / i32 sids of this batch's rows
-    falling in that band-hash partition. A sid is the snippet's row
-    index in the broadcast payload table, so the band shuffle moves 12
-    bytes per band row instead of a ~64-byte string (the dominant
-    shuffle of the pipeline), and the verify stage attaches payloads
-    with a direct ``Table.take`` on the indices.
+    raw little-endian u64 band keys / i32 sids of the block's rows
+    falling in that band-hash partition. The block holds sids
+    ``start, start + 1, ...`` (``sid_index``), so the band shuffle moves
+    12 bytes per band row instead of a ~64-byte string (the dominant
+    shuffle of the pipeline).
 
     Map-side packing for the band shuffle: the groupby("part") sort
     then moves ~blocks x P FAT rows instead of |snippets| x |bands|
@@ -698,12 +768,9 @@ def explode_bands_packed(
     bytes still move, the per-row cost vanishes). The all-parallel
     shape also survives this host's memory-bandwidth contention bursts,
     which made a single-task combine variant 2-4x slower, not faster."""
-    _, index = get_broadcast_payload(index_ref)
-    sid = pa.array(
-        [index[i] for i in batch["snippet_id"].to_pylist()], pa.int32()
-    )
+    sid = pa.array(np.arange(start, start + block.num_rows, dtype=np.int32))
     et = explode_bands(
-        pa.table({"sid": sid, "band_keys": batch["band_keys"]}), "sid"
+        pa.table({"sid": sid, "band_keys": block["band_keys"]}), "sid"
     )
     keys = et["band_key"].to_numpy(zero_copy_only=False).astype(np.uint64)
     sids = et["sid"].to_numpy(zero_copy_only=False).astype(np.int32)

@@ -23,9 +23,9 @@ Consumes candidate pairs joined with both sides' signature payloads
 
 ``size_kind_gate`` is the one upper-bound mask from sizes and kinds
 alone (jaccard <= min(|A|,|B|)/max(|A|,|B|)); the scan applies it to
-candidate pairs before their payloads attach, fed from broadcast
-per-sid arrays or from attached ``kind``/``n_shingles``/``n_tokens``
-columns (stages/candidates.py).
+candidate pairs before their payloads attach, fed from the ``kind`` /
+``n_shingles`` / ``n_tokens`` columns range-taken by sid
+(stages/candidates.py ``attach_sids`` -> ``pre_gate_pairs``).
 
 Stateless ``map_batches`` stage; per-row work is numpy set
 intersection over the carried shingle/token arrays.
@@ -72,11 +72,16 @@ PAIRS_SCHEMA = pa.schema(
 
 def kind_gates(kinds, thresholds: Thresholds) -> np.ndarray:
     """Each row's per-kind threshold (FUNC, WIN, anything else EXP)."""
-    k = np.asarray(kinds.to_pylist(), dtype=object)
+    import pyarrow.compute as pc
+
+    def is_kind(k: str) -> np.ndarray:
+        hit = pc.fill_null(pc.equal(kinds, k), False)
+        return hit.to_numpy(zero_copy_only=False)
+
     return np.where(
-        k == "FUNC",
+        is_kind("FUNC"),
         thresholds.func,
-        np.where(k == "WIN", thresholds.win, thresholds.exp),
+        np.where(is_kind("WIN"), thresholds.win, thresholds.exp),
     ).astype(np.float64)
 
 
@@ -88,8 +93,8 @@ def size_kind_gate(
     jaccard <= min(|A|,|B|)/max(|A|,|B|) (0 when a side is empty), and
     likewise for lexical, so a pair dropped here can clear neither the
     smaller kind gate, nor the substring floor (``None`` when off), nor
-    ``lexical_min_ratio``: ``verify_pairs_batch`` would reject it. Both
-    scan paths gate with it before the payload attach."""
+    ``lexical_min_ratio``: ``verify_pairs_batch`` would reject it. The
+    scan gates with it before the payload attach."""
 
     def ratio(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -368,11 +368,13 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
     assert streamed["checkpoint"]["pairs"] == "streamed"
     for stats in (streamed, missed, resumed):
         pairs = stats["plan"]["pairs"]
-        assert set(pairs) == {"path", "snippets", "bytes", "pair_id_prune"}
-        assert pairs["path"] == "broadcast"
+        assert set(pairs) == {
+            "snippets", "index_blocks", "partitions", "shuffle_strategy"
+        }
         assert pairs["snippets"] == stats["counts"]["snippets"]
-        assert pairs["bytes"] > 0
-        assert pairs["pair_id_prune"] is False
+        assert pairs["index_blocks"] > 0
+        assert pairs["partitions"] == 64
+        assert pairs["shuffle_strategy"] == "sort_shuffle_pull_based"
         rec = stats["plan"]["clustering"]
         assert set(rec) == {"path", "edges", "rounds"}
         assert rec == {

@@ -173,9 +173,9 @@ def test_scan_clone_free_corpus(ray_session):
 
 
 def test_scan_clone_free_corpus_join_path(ray_session, monkeypatch):
-    """Same clone-free corpus forced down the scale (partitioned-join)
-    pair-attach path: zero candidate pairs leave the join's left
-    sequence globally empty."""
+    """Same clone-free corpus with the broadcast cutover at 0: the scan's
+    one pair path is unchanged by it, and the attaches after it that
+    cross the cutover (the cluster-id attach) see no rows."""
     from clonehunter_ray.config import EngineConfig
     from clonehunter_ray.pipelines.scan import scan
     from clonehunter_ray.stages import candidates
@@ -202,15 +202,21 @@ def test_scan_clone_free_corpus_join_path(ray_session, monkeypatch):
     monkeypatch.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
     res = scan(ray.data.from_arrow(files), EngineConfig())
     assert res.findings.count() == 0
-    assert res.stats["plan"]["pairs"]["path"] == "join"
     _assert_typed_findings(res.findings)
 
 
-def test_cross_corpus_no_overlap(ray_session):
+def test_cross_corpus_no_overlap(ray_session, tmp_path):
+    """Mutually distinct documents share no near-duplicate across any
+    split: the pair side is globally empty, and the result is zero rows
+    with the output columns."""
+    import pyarrow.parquet as pq
+
     from clonehunter_ray.pipelines import queries as Q
 
-    if not hasattr(Q, "cross_corpus_dedup"):
-        pytest.skip("no dataset-level cross_corpus_dedup entry")
+    pq.write_table(_unique_docs(), str(tmp_path / "documents.parquet"))
+    out = Q.cross_corpus_dedup_documents(str(tmp_path))
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id", "n_ref_matches", "best_jac6"]
 
 
 def test_customers_without_orders_no_urgent(ray_session, tmp_path):

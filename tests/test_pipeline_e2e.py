@@ -7,7 +7,9 @@ BASELINE.json against truth_pairs.
 """
 
 import numpy as np
+import pyarrow as pa
 import pytest
+import ray
 import ray.data
 
 from clonehunter_ray.config import ClusterConfig, EngineConfig
@@ -120,98 +122,108 @@ def test_findings_deterministic_across_runs(ray_session, tiny_corpus):
     assert a.equals(b)
 
 
-def test_join_scale_path_matches_broadcast_path(
-    ray_session, tiny_corpus, monkeypatch
-):
-    """The >2M-snippet scale path (string ids + narrow pre-gate joins +
-    partitioned payload hash joins) must produce the same findings as
-    the broadcast path; forced here with the broadcast row cutover at 0.
-    Under ``skew_mode="star"`` with a small cap, buckets cap on both
-    paths, and the capped-bucket counters agree too: both paths pick
-    the same hub (the smallest snippet id) and count the same buckets."""
-    from clonehunter_ray.config import ExecConfig, SignatureConfig
-    from clonehunter_ray.stages import candidates
+def test_pairs_independent_of_index_blocks(ray_session, tiny_corpus):
+    """build_pairs over the tiny corpus's signature table as one block
+    and repartitioned into 7: sids are global ranks of snippet_id
+    whatever the blocks, so the verified pairs and the LSH counters are
+    identical, under the default salted mode and under ``star`` with a
+    cap every multi-member bucket exceeds."""
+    from clonehunter_ray.config import SignatureConfig
+    from clonehunter_ray.pipelines.scan import build_pairs, build_signatures
+    from clonehunter_ray.state import metrics as M
 
     files, _ = tiny_corpus
-    cols = ["unit_a", "unit_b", "score", "duplicated_lines", "n_evidence"]
-    import pandas as pd
-
     for sig in (
         SignatureConfig(),
         SignatureConfig(skew_mode="star", max_bucket_pairs_full=1),
     ):
-        base = scan(ray.data.from_arrow(files), EngineConfig(signature=sig))
-        with monkeypatch.context() as m:
-            m.setattr(candidates, "BROADCAST_MAX_ROWS", 0)
-            forced = scan(
-                ray.data.from_arrow(files),
-                EngineConfig(signature=sig, exec=ExecConfig(shuffle_partitions=4)),
+        config = EngineConfig(signature=sig)
+        signatures = build_signatures(ray.data.from_arrow(files), config).materialize()
+        runs = []
+        for blocks in (1, 7):
+            metrics, plan = M.new_metrics_actor(), {}
+            pairs = build_pairs(
+                signatures.repartition(blocks).materialize(), config, metrics, plan
             )
-        assert base.stats["plan"]["pairs"]["path"] == "broadcast"
-        assert forced.stats["plan"]["pairs"]["path"] == "join"
-        a = base.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
-        b = forced.findings.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b, check_exact=False, atol=1e-9)
+            table = pa.concat_tables(ray.get(pairs.to_arrow_refs()))
+            runs.append(
+                (
+                    plan["index_blocks"],
+                    table.sort_by([("a_id", "ascending"), ("b_id", "ascending")]),
+                    M.read_metrics(metrics),
+                )
+            )
+        (one, pairs_1, lsh_1), (many, pairs_7, lsh_7) = runs
+        assert one == 1 < many
+        assert pairs_1.num_rows > 0 and pairs_1.equals(pairs_7)
+        assert lsh_1 == lsh_7
         if sig.skew_mode == "star":
-            for key in ("lsh_buckets_capped", "lsh_capped_full_pairs"):
-                assert base.stats["lsh"][key] == forced.stats["lsh"][key] > 0
+            assert lsh_1["lsh_buckets_capped"] > 0
 
 
 def test_push_shuffle_strategy_findings_identical(ray_session, tiny_corpus):
     """exec.shuffle_strategy='push' (the big-corpus auto path,
     measured 3.3x at 1.6M files) must produce the identical findings
-    set as the default pull-based sort on the same corpus."""
+    set as the default pull-based sort on the same corpus. The choice
+    lands on the pair stage's own DataContext, so the session's is
+    left as it was."""
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
 
     from clonehunter_ray.config import ExecConfig
 
     files, _ = tiny_corpus
-    ctx = DataContext.get_current()
-    saved = ctx.shuffle_strategy
-    try:
-        base = (
-            scan(ray.data.from_arrow(files), EngineConfig())
-            .findings.to_pandas()
-            .sort_values(["pair_key"])
-            .reset_index(drop=True)
-        )
-        pushed = (
-            scan(
-                ray.data.from_arrow(files),
-                EngineConfig(exec=ExecConfig(shuffle_strategy="push")),
-            )
-            .findings.to_pandas()
-            .sort_values(["pair_key"])
-            .reset_index(drop=True)
-        )
-        assert ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-        assert len(base) == len(pushed)
-        assert (base["pair_key"].values == pushed["pair_key"].values).all()
-    finally:
-        ctx.shuffle_strategy = saved
+    session = DataContext.get_current().shuffle_strategy
+    base = scan(ray.data.from_arrow(files), EngineConfig())
+    pushed = scan(
+        ray.data.from_arrow(files),
+        EngineConfig(exec=ExecConfig(shuffle_strategy="push")),
+    )
+    assert DataContext.get_current().shuffle_strategy == session
+    assert pushed.pairs.context.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+    assert pushed.stats["plan"]["pairs"]["shuffle_strategy"] == "sort_shuffle_push_based"
+    a, b = (
+        r.findings.to_pandas().sort_values(["pair_key"]).reset_index(drop=True)
+        for r in (base, pushed)
+    )
+    assert len(a) == len(b)
+    assert (a["pair_key"].values == b["pair_key"].values).all()
 
 
-def test_pull_shuffle_strategy_overrides_an_auto_push_session():
-    """shuffle_strategy="pull" forces pull even after an earlier auto
-    scan upgraded the session to push (auto alone never downgrades)."""
+def test_pull_shuffle_strategy_overrides_an_auto_push_session(
+    ray_session, tiny_corpus
+):
+    """The strategy is the config's alone: "pull" and an "auto" scan
+    under the band-row threshold pick pull in a push session, "push" and
+    an auto scan over it pick push, and a scan leaves the session's
+    context as it was while its pair stage carries the choice."""
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
 
     from clonehunter_ray.config import ExecConfig
-    from clonehunter_ray.pipelines.scan import _apply_shuffle_strategy
+    from clonehunter_ray.pipelines.scan import _shuffle_strategy
+
+    push, pull = (
+        ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED,
+        ShuffleStrategy.SORT_SHUFFLE_PULL_BASED,
+    )
+    auto = EngineConfig(exec=ExecConfig(push_shuffle_band_rows=10))
+    assert _shuffle_strategy(auto, band_rows=11) == push
+    assert _shuffle_strategy(auto, band_rows=1) == pull
+    assert _shuffle_strategy(EngineConfig(exec=ExecConfig(shuffle_strategy="pull")), 11) == pull
+    assert _shuffle_strategy(EngineConfig(exec=ExecConfig(shuffle_strategy="push")), 1) == push
 
     ctx = DataContext.get_current()
     saved = ctx.shuffle_strategy
     try:
-        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-        auto = EngineConfig(exec=ExecConfig(push_shuffle_band_rows=10))
-        _apply_shuffle_strategy(auto, band_rows=11)
-        assert ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-        _apply_shuffle_strategy(auto, band_rows=1)  # auto never downgrades
-        assert ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-        pull = EngineConfig(exec=ExecConfig(shuffle_strategy="pull"))
-        _apply_shuffle_strategy(pull, band_rows=11)
-        assert ctx.shuffle_strategy == ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
+        ctx.shuffle_strategy = push
+        files, _ = tiny_corpus
+        res = scan(
+            ray.data.from_arrow(files),
+            EngineConfig(exec=ExecConfig(shuffle_strategy="pull")),
+        )
+        assert ctx.shuffle_strategy == push
+        assert res.pairs.context.shuffle_strategy == pull
+        assert res.findings.count() > 0
     finally:
         ctx.shuffle_strategy = saved

@@ -1,7 +1,7 @@
-"""The one size/kind upper-bound gate (stages/verify.size_kind_gate) and
-its two feeders: ``pre_gate_pairs_indexed`` (per-sid arrays of the
-broadcast payload, the scan's broadcast path) and ``pre_gate_pairs``
-(attached ``a_``/``b_`` columns, the scan's join path).
+"""The one size/kind upper-bound gate (stages/verify.size_kind_gate),
+fed by ``pre_gate_pairs`` from attached ``a_``/``b_`` columns: attached
+directly, or range-taken by sid from a sid index (``attach_sids``, the
+scan's feeder).
 
 Verification no longer repeats the bound, so it must be implied by the
 exact checks: every pair ``verify_pairs_batch`` accepts passes the gate,
@@ -10,15 +10,13 @@ and the substring floor."""
 
 from __future__ import annotations
 
-import uuid
-
 import numpy as np
 import pyarrow as pa
 import pytest
-import ray
+import ray.data
 
 from clonehunter_ray.config import SubstringConfig, Thresholds
-from clonehunter_ray.stages.candidates import pre_gate_pairs, pre_gate_pairs_indexed
+from clonehunter_ray.stages.candidates import attach_sids, pre_gate_pairs, sid_index
 from clonehunter_ray.stages.verify import verify_pairs_batch
 
 KINDS = ["FUNC", "WIN", "EXP"]
@@ -140,15 +138,16 @@ def test_sid_and_column_feeders_agree(ray_session, thresholds, floor):
     rng = np.random.default_rng(3)
     a = rng.integers(0, payload.num_rows, size=2000)
     b = rng.integers(0, payload.num_rows, size=2000)
-    ref = (
-        str(uuid.uuid4()),
-        ray.put(payload),
-        tuple(payload.column_names),
-        "snippet_id",
+    # the payload in three blocks, so the sids cross block boundaries
+    index = sid_index(
+        ray.data.from_arrow([payload.slice(0, 70), payload.slice(70, 60), payload.slice(130)])
     )
-    by_sid = pre_gate_pairs_indexed(
-        pa.table({"a_id": pa.array(a, pa.int32()), "b_id": pa.array(b, pa.int32())}),
-        ref,
+    by_sid = pre_gate_pairs(
+        attach_sids(
+            pa.table({"a_id": pa.array(a, pa.int32()), "b_id": pa.array(b, pa.int32())}),
+            index,
+            ["kind", "n_shingles", "n_tokens"],
+        ),
         thresholds,
         floor,
     )
