@@ -39,6 +39,15 @@ def sha256_hex_many(texts) -> list[str]:
     return [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts]
 
 
+def hex_uniform(hexes) -> np.ndarray:
+    """Uniforms in (0, 1) from hex digests: the first 13 hex digits
+    (52 bits, exact in float64) as an integer v, then (v + 0.5) / 2^52.
+    The one hash-uniform recipe of the deterministic samplers (the
+    DuckDB oracles compute the same closed form)."""
+    v = np.array([int(h[:13], 16) for h in hexes], dtype=np.float64)
+    return (v + 0.5) / float(1 << 52)
+
+
 def hash_token_u64(token: str) -> int:
     """Stable 64-bit hash of one token (blake2b, 8-byte digest)."""
     return int.from_bytes(
@@ -130,8 +139,8 @@ def doc_token_pairs(flat, parent: np.ndarray):
 def run_ranks(sorted_keys: np.ndarray) -> np.ndarray:
     """Rank within consecutive runs of equal keys: for an array already
     sorted so equal keys are adjacent, returns 0,1,2,... restarting at
-    each run boundary. The shared kernel behind every vectorized
-    per-group top-k combiner (sort by (key, order...), keep
+    each run boundary. The per-group rank of ``stages/topk.cut``, the
+    one top-k kernel (sort by (key, order...), keep
     ``run_ranks(keys_sorted) < k``)."""
     n = len(sorted_keys)
     if n == 0:

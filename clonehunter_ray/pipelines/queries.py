@@ -28,6 +28,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from clonehunter_ray.functions import hashing as H
 from clonehunter_ray.functions import veccodec as _V
+from clonehunter_ray.stages.topk import top_k
 
 
 def _pt(df: pd.DataFrame, schema: pa.Schema | None = None) -> pa.Table:
@@ -58,6 +59,15 @@ def _read(sf_dir: str, table: str, columns=None):
     from clonehunter_ray.util import read_parquet_clean
 
     return read_parquet_clean(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+def _score6(t: pa.Table, cols: list[str]) -> pa.Table:
+    """``cols`` of a top-k table plus ``score6``: its ``score`` rounded
+    to 6 dp by Python round (correctly-rounded decimal, as DuckDB's
+    round(); np.round can differ by 1 ulp and the oracle hash-compare is
+    exact) on the emitted rows only — ranking used the unrounded score."""
+    s6 = [round(v, 6) for v in t["score"].to_pylist()]
+    return t.select(cols).append_column("score6", pa.array(s6, pa.float64()))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +272,52 @@ def _bench_mod_filter(bench_mod: int, want_bench: bool):
     return f
 
 
+def bench_token_index(bench_sets: list[np.ndarray]):
+    """CSR inverted index over bench token-hash sets: ``(uniq, off,
+    owner, bench_len)``, hash ``uniq[i]`` owned by bench sets
+    ``owner[off[i]:off[i+1]]``."""
+    flat = np.concatenate(bench_sets)
+    owner = np.repeat(
+        np.arange(len(bench_sets), dtype=np.int64),
+        [len(s) for s in bench_sets],
+    )
+    order = np.argsort(flat, kind="stable")
+    flat, owner = flat[order], owner[order]
+    uniq, start = np.unique(flat, return_index=True)
+    off = np.append(start, len(flat))
+    bench_len = np.array([len(s) for s in bench_sets], dtype=np.int64)
+    return uniq, off, owner, bench_len
+
+
+def max_bench_jaccard(sets: list[np.ndarray], index) -> np.ndarray:
+    """Each token set's maximum Jaccard against the bench sets of a
+    ``bench_token_index`` (0 without a shared token). Intersections are
+    counted for hit pairs only — searchsorted membership, ragged
+    expansion of each hit's owner range, ``np.unique`` on the packed
+    ``row * n_bench + owner`` key — so scratch is O(hits), not
+    O(rows x n_bench)."""
+    uniq, off, owner, bench_len = index
+    train_len = np.array([len(s) for s in sets], dtype=np.int64)
+    tflat = np.concatenate(sets) if sets else np.empty(0, np.uint64)
+    rows = np.repeat(np.arange(len(sets), dtype=np.int64), train_len)
+    pos = np.searchsorted(uniq, tflat)
+    hit = pos < len(uniq)
+    hit[hit] = uniq[pos[hit]] == tflat[hit]
+    h, r = pos[hit], rows[hit]
+    lens = off[h + 1] - off[h]
+    starts = np.repeat(off[h], lens)
+    within = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
+    n_b = len(bench_len)
+    pair, inter = np.unique(
+        np.repeat(r, lens) * n_b + owner[starts + within], return_counts=True
+    )
+    pr, pb = pair // n_b, pair % n_b
+    union = train_len[pr] + bench_len[pb] - inter
+    mx = np.zeros(len(sets))
+    np.maximum.at(mx, pr, inter / np.maximum(union, 1))
+    return mx
+
+
 def fuzzy_decontaminate_documents(
     sf_dir: str, threshold: float = 0.5, bench_mod: int = 13
 ):
@@ -275,11 +331,9 @@ def fuzzy_decontaminate_documents(
 
     Ray shape: the benchmark side is SMALL by design (eval sets are
     thousands of docs at any corpus scale), so a CSR inverted index
-    (sorted unique bench token hash -> owning bench-set ids) broadcasts
-    once via ray.put; each training batch then computes ALL its
-    (doc, bench) intersection counts in one vectorized pass —
-    searchsorted membership, ragged-range expansion, one bincount into
-    the (rows x n_bench) count matrix — and takes the row max. Exact
+    (``bench_token_index``) broadcasts once via ray.put; each training
+    batch then counts its (doc, bench) intersections sparsely in one
+    vectorized pass (``max_bench_jaccard``) and takes the row max. Exact
     (no LSH recall caveat), no shuffle, nothing corpus-sized on the
     driver. jac uses the empty-union-is-0 convention on both engines;
     max_jac6 is Python-rounded per row for DuckDB hash parity.
@@ -309,21 +363,7 @@ def fuzzy_decontaminate_documents(
         if t.num_rows:
             th = H.tokenize_hash_texts(t["text"])
             bench_sets.extend(H.token_set_hashes(x) for x in th)
-    nb = len(bench_sets)
-    if nb:
-        flat = np.concatenate(bench_sets) if nb else np.empty(0, np.uint64)
-        owner = np.repeat(
-            np.arange(nb, dtype=np.int64),
-            [len(s) for s in bench_sets],
-        )
-        order = np.argsort(flat, kind="stable")
-        flat, owner = flat[order], owner[order]
-        uniq, start = np.unique(flat, return_index=True)
-        off = np.append(start, len(flat))
-        bench_len = np.array([len(s) for s in bench_sets], dtype=np.int64)
-        idx_ref = ray.put((uniq, off, owner, bench_len))
-    else:
-        idx_ref = ray.put(None)
+    idx_ref = ray.put(bench_token_index(bench_sets) if bench_sets else None)
 
     out_schema = pa.schema(
         [
@@ -349,33 +389,8 @@ def fuzzy_decontaminate_documents(
                 },
                 schema=out_schema,
             )
-        uniq, off, owner, bench_len = index
         th = H.tokenize_hash_texts(batch["text"])
-        sets = [H.token_set_hashes(x) for x in th]
-        train_len = np.array([len(s) for s in sets], dtype=np.int64)
-        tflat = (
-            np.concatenate(sets) if sets else np.empty(0, np.uint64)
-        )
-        rows = np.repeat(np.arange(len(sets), dtype=np.int64), train_len)
-        pos = np.searchsorted(uniq, tflat)
-        hit = (pos < len(uniq)) & (uniq[np.minimum(pos, len(uniq) - 1)] == tflat)
-        h, r = pos[hit], rows[hit]
-        # ragged expansion of each hit hash's bench-owner range
-        lens = off[h + 1] - off[h]
-        total = int(lens.sum())
-        starts = np.repeat(off[h], lens)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(lens) - lens, lens
-        )
-        owners_exp = owner[starts + within]
-        rows_exp = np.repeat(r, lens)
-        n_b = len(bench_len)
-        inter = np.bincount(
-            rows_exp * n_b + owners_exp, minlength=len(sets) * n_b
-        ).reshape(len(sets), n_b)
-        union = train_len[:, None] + bench_len[None, :] - inter
-        jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-        mx = jac.max(axis=1) if n_b else np.zeros(len(sets))
+        mx = max_bench_jaccard([H.token_set_hashes(x) for x in th], index)
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.int64()),
@@ -880,17 +895,15 @@ def sample_k_documents(sf_dir: str, k: int = 100):
     digest is uniform over ids; identical across re-runs, resumes, and
     any partitioning with no RNG state.
 
-    Ray shape: per-batch LOCAL top-k by priority (a combiner — at most
-    k rows leave any block regardless of its size), then the bounded
-    survivor set (<= k x n_blocks rows, corpus-size-independent per
-    block) sorts globally and takes the final k. The only shuffle is
-    over survivors, never the corpus.
+    Ray shape: a priority map, then ``stages/topk.top_k`` (a per-batch
+    combiner — at most k rows leave any block — and one sort of the
+    <= k x n_blocks survivors). The corpus never shuffles.
     """
     import pyarrow.compute as pc
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
 
-    def local_top(batch: pa.Table) -> pa.Table:
+    def priority(batch: pa.Table) -> pa.Table:
         # drop NULL ids BEFORE to_numpy: one null coerces the int64
         # column to float64 and every id in the block would hash as
         # 'X.0'. Parity: the oracle's sha256(CAST(NULL AS VARCHAR)) is
@@ -898,20 +911,14 @@ def sample_k_documents(sf_dir: str, k: int = 100):
         # k <= non-null count.
         batch = batch.filter(pc.is_valid(batch["doc_id"]))
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        pri = np.array(
-            H.sha256_hex_many([str(i) for i in ids]), dtype=object
-        )
-        keep = np.sort(np.lexsort((ids, pri))[:k])
-        out = batch.take(pa.array(keep, pa.int64()))
-        return out.append_column(
-            "priority", pa.array(list(pri[keep]), pa.string())
-        )
+        pri = H.sha256_hex_many([str(i) for i in ids])
+        return batch.append_column("priority", pa.array(pri, pa.string()))
 
-    return (
-        docs.map_batches(local_top, batch_format="pyarrow")
-        .sort(["priority", "doc_id"])
-        .limit(k)
-        .drop_columns(["priority"])
+    return top_k(
+        docs.map_batches(priority, batch_format="pyarrow"),
+        [("priority", "ascending"), ("doc_id", "ascending")],
+        k,
+        project=lambda t: t.drop_columns(["priority"]),
     )
 
 
@@ -928,22 +935,19 @@ def weighted_sample_documents(sf_dir: str, k: int = 100):
     re-runs, resumes, and any partitioning produce the identical
     sample, and the identical closed-form runs in the DuckDB oracle.
 
-    Ray shape: per-batch LOCAL top-k by priority (a combiner — at
-    most k rows leave any block regardless of size), then a global
-    sort+limit over the bounded survivor set (<= k x n_blocks rows).
-    The only shuffle moves survivors, never the corpus. Priorities
-    round to 9 dp in BOTH engines so libm ulp drift cannot reorder
-    the rank-k boundary; residual ties break on doc_id. NULL ids and
-    non-positive weights are excluded (weight 0 = never sampled —
-    the E-S limit), matching the oracle's WHERE clause.
+    Ray shape: a priority map, then ``stages/topk.top_k`` (a per-batch
+    combiner and one sort of the <= k x n_blocks survivors); the
+    corpus never shuffles. Priorities round to 9 dp in BOTH engines so
+    libm ulp drift cannot reorder the rank-k boundary; residual ties
+    break on doc_id. NULL ids and non-positive weights are excluded
+    (weight 0 = never sampled — the E-S limit), matching the oracle's
+    WHERE clause.
     """
     import pyarrow.compute as pc
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    # 16^13 = 2^52: 13 hex digits are exact in float64
-    denom = float(1 << 52)
 
-    def local_top(batch: pa.Table) -> pa.Table:
+    def priority(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             pc.and_(
                 pc.is_valid(batch["doc_id"]),
@@ -954,34 +958,23 @@ def weighted_sample_documents(sf_dir: str, k: int = 100):
         w = batch["n_chars"].to_numpy(zero_copy_only=False).astype(
             np.float64
         )
-        u = (
-            np.array(
-                [
-                    int(h[:13], 16)
-                    for h in H.sha256_hex_many([str(i) for i in ids])
-                ],
-                dtype=np.float64,
-            )
-            + 0.5
-        ) / denom
+        u = H.hex_uniform(H.sha256_hex_many([str(i) for i in ids]))
         key = np.round(np.log(u) / w, 9)
-        keep = np.sort(np.lexsort((ids, -key))[:k])
-        out = batch.take(pa.array(keep, pa.int64()))
-        return out.append_column(
-            "priority", pa.array(key[keep], pa.float64())
-        )
+        return batch.append_column("priority", pa.array(key, pa.float64()))
 
-    return (
-        docs.map_batches(local_top, batch_format="pyarrow")
-        .sort(["priority", "doc_id"], descending=[True, False])
-        .limit(k)
+    return top_k(
+        docs.map_batches(priority, batch_format="pyarrow"),
+        [("priority", "descending"), ("doc_id", "ascending")],
+        k,
     )
 
 
 def knn_cosine_topk(sf_dir: str, n_queries: int = 5, k: int = 10):
     """Brute-force cosine top-k ANN baseline: query matrix broadcast
-    once via ray.put, per-batch numpy matmul + per-batch top-k, final
-    exact top-k per query on the (tiny) candidate union."""
+    once via ray.put, per-batch numpy matmul, then ``stages/topk.top_k``
+    per query. Integer-only output: DuckDB's list_cosine_similarity
+    runs in float32, so float columns can't hash-match across engines;
+    neighbor gaps (~1e-3 in this data) make ranks precision-stable."""
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     queries = emb.filter(expr=f"vec_id < {n_queries}").to_pandas()
     q_ids = queries["vec_id"].to_numpy()
@@ -993,41 +986,22 @@ def knn_cosine_topk(sf_dir: str, n_queries: int = 5, k: int = 10):
         ids, qn = ray.get(q_ref)
         vec_ids, matn = _V.normalized_matrix(batch)
         sims = matn @ qn.T  # (batch, n_queries)
-        out_q, out_v, out_s = [], [], []
-        kk = min(k, len(vec_ids))
-        for qi in range(sims.shape[1]):
-            col = sims[:, qi]
-            top = np.argpartition(-col, kk - 1)[:kk]
-            out_q.extend([ids[qi]] * len(top))
-            out_v.extend(vec_ids[top].tolist())
-            out_s.extend(col[top].tolist())
+        n, nq = sims.shape
         return pa.table(
             {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "cos": pa.array(out_s, pa.float64()),
+                "query_id": pa.array(np.tile(ids, n), pa.int64()),
+                "vec_id": pa.array(np.repeat(vec_ids, nq), pa.int64()),
+                "cos": pa.array(sims.ravel(), pa.float64()),
             }
         )
 
-    partials = emb.map_batches(score, batch_format="pyarrow")
-
-    def final_topk(group: pd.DataFrame) -> pa.Table:
-        g = group.sort_values(["cos", "vec_id"], ascending=[False, True]).head(k)
-        # integer-only output: DuckDB's list_cosine_similarity runs in
-        # float32, so float columns can't hash-match across engines;
-        # neighbor gaps (~1e-3 in this data) make ranks precision-stable.
-        # Explicit Arrow schema: every group block hashes identically, so
-        # Ray Data's schema dedup never falls back to per-block schemas.
-        return pa.table(
-            {
-                "query_id": pa.array(g["query_id"].to_numpy(), pa.int64()),
-                "vec_id": pa.array(g["vec_id"].to_numpy(), pa.int64()),
-                "rank": pa.array(np.arange(1, len(g) + 1), pa.int64()),
-            }
-        )
-
-    return partials.groupby("query_id").map_groups(
-        final_topk, batch_format="pandas"
+    return top_k(
+        emb.map_batches(score, batch_format="pyarrow"),
+        [("cos", "descending"), ("vec_id", "ascending")],
+        k,
+        by="query_id",
+        rank="rank",
+        project=lambda t: t.select(["query_id", "vec_id", "rank"]),
     )
 
 
@@ -1325,28 +1299,24 @@ def events_asof_latest_view(sf_dir: str):
 
 def top_orders_per_customer(sf_dir: str, k: int = 3):
     """Per-group window rank (row_number over partition): top-k orders
-    per customer by total price. Ray shape: groupby(custkey) ->
-    map_groups top-k — each group is tiny, the single shuffle key is
-    the partition column, no global sort."""
+    per customer by total price (tie: orderkey). Ray shape:
+    ``stages/topk.top_k`` by custkey — a per-batch cut, then
+    groupby(custkey) with the final cut and rank; no global sort."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
-    def topk(g: pa.Table) -> pa.Table:
-        price = g["o_totalprice"].to_numpy(zero_copy_only=False)
-        okey = g["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        top = np.lexsort((okey, -price))[:k]
-        ckey = g["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "o_custkey": pa.array(ckey[top], pa.int64()),
-                "o_orderkey": pa.array(okey[top], pa.int64()),
-                "o_totalprice": pa.array(
-                    np.round(price[top], 2), pa.float64()
-                ),
-                "rank": pa.array(np.arange(1, len(top) + 1), pa.int64()),
-            }
-        )
+    def project(t: pa.Table) -> pa.Table:
+        price = np.round(t["o_totalprice"].to_numpy(), 2)
+        i = t.schema.get_field_index("o_totalprice")
+        return t.set_column(i, "o_totalprice", pa.array(price, pa.float64()))
 
-    return ds.groupby("o_custkey").map_groups(topk, batch_format="pyarrow")
+    return top_k(
+        ds,
+        [("o_totalprice", "descending"), ("o_orderkey", "ascending")],
+        k,
+        by="o_custkey",
+        rank="rank",
+        project=project,
+    )
 
 
 def distinct_users_per_event_type(sf_dir: str):
@@ -2050,15 +2020,11 @@ def redact_pii_documents(sf_dir: str, max_id: int = 500):
 def stratified_sample_embeddings(sf_dir: str, per_label: int = 20):
     """Deterministic stratified sample: the first ``per_label`` vec_ids
     of every label (class-balanced subset selection — the shape of any
-    per-class quota pass over training data). One co-partitioning
-    shuffle by label, per-group vectorized head."""
+    per-class quota pass over training data). ``stages/topk.top_k`` by
+    label: a per-batch cut, then one co-partitioning shuffle of the
+    survivors and the final cut."""
     ds = _read(sf_dir, "embeddings", ["label", "vec_id"])
-
-    def head(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("vec_id").head(per_label)
-        return g[["label", "vec_id"]]
-
-    return ds.groupby("label").map_groups(head, batch_format="pandas")
+    return top_k(ds, [("vec_id", "ascending")], per_label, by="label")
 
 
 def label_centroids(sf_dir: str):
@@ -2867,33 +2833,18 @@ def cap_docs_per_source(sf_dir: str, cap: int = 20):
     template-heavy sites: keep at most ``cap`` docs per source,
     preferring the longest (n_chars desc, doc_id asc tie-break).
 
-    Ray shape for 100 TB: per-batch LOCAL top-cap per source (a
-    combiner — each batch forwards at most cap rows per source it
+    Ray shape for 100 TB: ``stages/topk.top_k`` by source — a
+    per-batch combiner forwards at most cap rows per source it
     contains, so the shuffle is bounded by cap x n_batches per key,
-    not by the key's true row count), then a tiny per-source final
-    top-cap in ``map_groups``. A hot domain with a billion pages
-    never ships more than cap rows per input block.
+    not by the key's true row count, then the per-source final cut.
+    A hot domain with a billion pages never ships more than cap rows
+    per input block.
     """
-
-    def local_top(batch: pa.Table) -> pa.Table:
-        src = batch["source"].to_numpy(zero_copy_only=False)
-        n_chars = batch["n_chars"].to_numpy(zero_copy_only=False)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -n_chars, src))
-        keep = order[H.run_ranks(src[order]) < cap]
-        return batch.take(pa.array(np.sort(keep), pa.int64()))
-
-    def final_top(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(
-            ["n_chars", "doc_id"], ascending=[False, True]
-        ).head(cap)
-        return _pt(g[["doc_id", "source", "n_chars"]])
-
-    return (
-        _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
-        .map_batches(local_top, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(final_top, batch_format="pandas")
+    return top_k(
+        _read(sf_dir, "documents", ["doc_id", "source", "n_chars"]),
+        [("n_chars", "descending"), ("doc_id", "ascending")],
+        cap,
+        by="source",
     )
 
 
@@ -2902,10 +2853,10 @@ def _tfidf_topk_join(docs, df_tbl, n_docs: int, k: int):
     distributed. (doc_id, tok, tf) rows hash-partition-join the
     (tok, df) table, scores are computed per joined batch with the
     SAME arithmetic as the broadcast path (tf_float64 * ln(n/df) —
-    identical doubles), a per-batch local top-k bounds the per-doc
-    shuffle to <= k rows per doc per batch, and a per-doc map_groups
-    finisher applies the final (score desc, tok asc) top-k with the
-    Python-rounded emit."""
+    identical doubles), then ``stages/topk.top_k`` per doc by (score
+    desc, tok asc): its per-batch cut bounds the per-doc shuffle to
+    <= k rows per doc per batch, and the Python-rounded emit maps the
+    final cut's output."""
     def tf_rows(batch: pa.Table) -> pa.Table:
         flat, parent = H.flat_tokens(batch["text"])
         if len(flat) == 0:
@@ -2936,42 +2887,20 @@ def _tfidf_topk_join(docs, df_tbl, n_docs: int, k: int):
         on=("tok",),
     )
 
-    def local_top(batch: pa.Table) -> pa.Table:
-        doc = batch["doc_id"].to_numpy(zero_copy_only=False)
+    def score(batch: pa.Table) -> pa.Table:
         tf = batch["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
         dfv = batch["df"].to_numpy(zero_copy_only=False).astype(np.float64)
-        tok = np.asarray(batch["tok"].to_pylist(), dtype=object)
         s = tf * np.log(float(n_docs) / dfv)
-        order = np.lexsort((tok, -s, doc))
-        keep = order[H.run_ranks(doc[order]) < k]
-        keep = np.sort(keep)
-        return pa.table(
-            {
-                "doc_id": pa.array(doc[keep], pa.int64()),
-                "tok": pa.array(list(tok[keep]), pa.string()),
-                "score": pa.array(s[keep], pa.float64()),
-            }
+        return batch.select(["doc_id", "tok"]).append_column(
+            "score", pa.array(s, pa.float64())
         )
 
-    def final_top(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(
-            ["score", "tok"], ascending=[False, True], kind="stable"
-        ).head(k)
-        return pa.table(
-            {
-                "doc_id": pa.array(g["doc_id"].to_numpy(), pa.int64()),
-                "tok": pa.array(list(g["tok"]), pa.string()),
-                "score6": pa.array(
-                    [round(float(v), 6) for v in g["score"].to_numpy()],
-                    pa.float64(),
-                ),
-            }
-        )
-
-    return (
-        joined.map_batches(local_top, batch_format="pyarrow")
-        .groupby("doc_id")
-        .map_groups(final_top, batch_format="pandas")
+    return top_k(
+        joined.map_batches(score, batch_format="pyarrow"),
+        [("score", "descending"), ("tok", "ascending")],
+        k,
+        by="doc_id",
+        project=lambda t: _score6(t, ["doc_id", "tok"]),
     )
 
 
@@ -2989,13 +2918,12 @@ def tfidf_top_terms_documents(sf_dir: str, k: int = 3):
     and docs stream through one stateless scoring pass that needs a
     document's rows in one batch; above the cutover the full vocabulary
     never leaves the cluster — per-doc (doc_id, tok, tf) rows
-    hash-partition-join the df table on tok, a per-batch local top-k
-    combiner bounds what shuffles to the per-doc finisher (<= k rows
-    per doc per batch, the ``cap_docs_per_source`` idiom). Same
+    hash-partition-join the df table on tok, and ``stages/topk.top_k``
+    per doc bounds what shuffles (<= k rows per doc per batch). Same
     score arithmetic on both paths, so the oracle comparison and the
     broadcast/join parity test hold bit-exactly.
     """
-    from clonehunter_ray.stages import candidates
+    from clonehunter_ray.stages import candidates, topk
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
@@ -3050,23 +2978,21 @@ def tfidf_top_terms_documents(sf_dir: str, k: int = 3):
         tok_strs = np.asarray(dictionary.to_pylist(), dtype=object)[tok_ids]
         pos = np.searchsorted(vocab, tok_strs)
         idf = np.log(float(n_docs) / df_sorted[pos])
-        s = tf * idf
-        # per-doc top-k by (score desc, token asc): lexsort is stable
-        order2 = np.lexsort((tok_strs, -s, rows))
-        keep = order2[H.run_ranks(rows[order2]) < k]
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids[rows[keep]], pa.int64()),
-                "tok": pa.array(list(tok_strs[keep]), pa.string()),
-                # Python round (correctly-rounded decimal) on the
-                # emitted top-k only — np.round can differ by 1 ulp
-                # and the oracle hash-compare is exact (see
-                # ngram_jaccard_pairs.verify)
-                "score6": pa.array(
-                    [round(float(v), 6) for v in s[keep]], pa.float64()
-                ),
-            }
+        # a document's rows are all in this batch: one in-batch cut
+        top = topk.cut(
+            pa.table(
+                {
+                    "row": pa.array(rows, pa.int64()),
+                    "tok": dictionary.take(pa.array(tok_ids, pa.int64())),
+                    "score": pa.array(tf * idf, pa.float64()),
+                }
+            ),
+            [("score", "descending"), ("tok", "ascending")],
+            k,
+            by="row",
         )
+        doc = pa.array(doc_ids[top["row"].to_numpy()], pa.int64())
+        return _score6(top.set_column(0, "doc_id", doc), ["doc_id", "tok"])
 
     return docs.map_batches(score, batch_format="pyarrow")
 
@@ -3385,22 +3311,18 @@ def bm25_search_documents(sf_dir: str, k: int = 10, k1: float = 1.2, b: float = 
             }
         )
 
-    def topk(g: pd.DataFrame) -> pa.Table:
-        # rank by the UNROUNDED score (matching the SQL window order);
-        # round only for the emitted column — Python round, not the
-        # scaled-rint pandas/np round (1-ulp oracle-hash risk)
-        g = g.sort_values(["score", "doc_id"], ascending=[False, True]).head(k)
-        g = g.assign(
-            score6=[round(float(v), 6) for v in g["score"].to_numpy()]
-        )
-        return _pt(g[["query_id", "doc_id", "score6"]])
-
     scored = (
         post.map_batches(contrib, batch_format="pyarrow")
         .groupby(["query_id", "doc_id"])
         .aggregate(Sum("s", alias_name="score"))
     )
-    return scored.groupby("query_id").map_groups(topk, batch_format="pandas")
+    return top_k(
+        scored,
+        [("score", "descending"), ("doc_id", "ascending")],
+        k,
+        by="query_id",
+        project=lambda t: _score6(t, ["query_id", "doc_id"]),
+    )
 
 
 def length_quantiles_by_lang(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.9)):
@@ -3549,14 +3471,13 @@ def global_shuffle_documents(sf_dir: str, seed: str = "s42", n_shards: int = 4):
     deterministic sha256 ordering, io/fingerprints.py:6-7).
 
     Ray shape: a stateless ids-only rank/shard map (payload columns
-    never read) -> ONE hash exchange on ``shard`` -> per-shard
-    lexsort + enumerate inside ``map_groups``. At 100 TB, size
+    never read) -> ``stages/topk.top_k`` with no cut: ONE exchange on
+    ``shard``, then a per-shard sort that numbers ``pos``. At 100 TB, size
     ``n_shards`` in the thousands so one shard (the exchange moves
     only 72 B/row: id + 64-hex rank) fits a worker; the per-shard
     sort is exactly the per-output-file ordering pass the exporter
     needs anyway.
     """
-
     def rank(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
         hs = H.sha256_hex_many(f"{seed}:{i}" for i in ids)
@@ -3571,17 +3492,15 @@ def global_shuffle_documents(sf_dir: str, seed: str = "s42", n_shards: int = 4):
             }
         )
 
-    def order(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["_rank", "doc_id"], kind="mergesort")
-        g = g.reset_index(drop=True)
-        g["pos"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["doc_id", "shard", "pos"]]
-
-    return (
-        _read(sf_dir, "documents", ["doc_id"])
-        .map_batches(rank, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(order, batch_format="pandas")
+    return top_k(
+        _read(sf_dir, "documents", ["doc_id"]).map_batches(
+            rank, batch_format="pyarrow"
+        ),
+        [("_rank", "ascending"), ("doc_id", "ascending")],
+        None,
+        by="shard",
+        rank="pos",
+        project=lambda t: t.select(["doc_id", "shard", "pos"]),
     )
 
 
@@ -4126,50 +4045,31 @@ def dsir_resample_documents(
     selected (doc_id, logweight6, gkey6).
 
     Ray shape: stateless key map over the ids-only dsir weight table,
-    per-batch LOCAL top-k combiner (at most k rows leave any block),
-    global sort over <= k x n_blocks survivors, limit(k) — the corpus
-    never shuffles (same recipe as sample_k_documents)."""
-    import pyarrow.compute as pc
-
+    then ``stages/topk.top_k`` (a per-batch combiner, one sort of the
+    <= k x n_blocks survivors) — the corpus never shuffles (same
+    recipe as sample_k_documents)."""
     w = dsir_logweights_documents(sf_dir, target_lang=target_lang)
 
-    def local_top(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [
-                    ("doc_id", pa.int64()),
-                    ("logweight6", pa.float64()),
-                    ("gkey6", pa.float64()),
-                ]
-            ).empty_table()
+    def gumbel_key(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         lw = batch["logweight6"].to_numpy(zero_copy_only=False)
-        v = np.array(
-            [
-                int(h[:13], 16)
-                for h in H.sha256_hex_many(f"{seed}:{i}" for i in ids)
-            ],
-            dtype=np.float64,
-        )
-        u = (v + 0.5) / float(1 << 52)
+        u = H.hex_uniform(H.sha256_hex_many(f"{seed}:{i}" for i in ids))
         gkey = np.array(
             [round(float(x), 6) for x in lw + (-np.log(-np.log(u)))],
             dtype=np.float64,
         )
-        keep = np.sort(np.lexsort((ids, -gkey))[:k])
-        idx = pa.array(keep, pa.int64())
         return pa.table(
             {
-                "doc_id": batch["doc_id"].take(idx),
-                "logweight6": batch["logweight6"].take(idx),
-                "gkey6": pa.array(gkey[keep], pa.float64()),
+                "doc_id": batch["doc_id"],
+                "logweight6": batch["logweight6"],
+                "gkey6": pa.array(gkey, pa.float64()),
             }
         )
 
-    return (
-        w.map_batches(local_top, batch_format="pyarrow")
-        .sort(["gkey6", "doc_id"], descending=[True, False])
-        .limit(k)
+    return top_k(
+        w.map_batches(gumbel_key, batch_format="pyarrow"),
+        [("gkey6", "descending"), ("doc_id", "ascending")],
+        k,
     )
 
 
@@ -4181,66 +4081,38 @@ def quota_rank_sample(
     ``quota[key]`` smallest sha256(seed:doc_id) ranks (tie: doc_id).
 
     Ray shape: keys with quota 0 are dropped BEFORE hashing (their
-    rows can never be selected), then a LOCAL top-quota combiner per
-    batch (a key never ships more than quota rows per block), an
-    empty-block scrub, and a per-key ``map_groups`` final cut.
+    rows can never be selected), then ``stages/topk.top_k`` with the
+    quota mapping (a key never ships more than its quota per block).
     Returns (doc_id, <key_col>) rows.
     """
     import pyarrow.compute as pc
 
-    from clonehunter_ray.util import scrub_empty_blocks
-
     active = pa.array(
         sorted(k for k, q in quota.items() if q > 0), pa.string()
     )
-    _empty = pa.table(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            key_col: pa.array([], pa.string()),
-            "rank": pa.array([], pa.string()),
-        }
-    )
 
-    def local_top(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.is_valid(batch["doc_id"]))
-        if batch.num_rows:
-            batch = batch.filter(
-                pc.is_in(batch[key_col], value_set=active)
+    def rank(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(
+            pc.and_(
+                pc.is_valid(batch["doc_id"]),
+                pc.is_in(batch[key_col], value_set=active),
             )
-        if batch.num_rows == 0:
-            return _empty
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        keys = batch[key_col].to_numpy(zero_copy_only=False)
-        rank = np.array(
-            H.sha256_hex_many(f"{seed}:{i}" for i in ids), dtype=object
         )
-        order = np.lexsort((ids, rank, keys))
-        pos = H.run_ranks(keys[order])
-        q = np.array([quota.get(s, 0) for s in keys[order]], dtype=np.int64)
-        keep = np.sort(order[pos < q])
-        idx = pa.array(keep, pa.int64())
+        hs = H.sha256_hex_many(f"{seed}:{i}" for i in batch["doc_id"].to_pylist())
         return pa.table(
             {
-                "doc_id": batch["doc_id"].take(idx),
-                key_col: batch[key_col].take(idx),
-                "rank": pa.array(list(rank[keep]), pa.string()),
+                "doc_id": pc.cast(batch["doc_id"], pa.int64()),
+                key_col: pc.cast(batch[key_col], pa.string()),
+                "rank": pa.array(hs, pa.string()),
             }
         )
 
-    def final_top(g: pd.DataFrame) -> pa.Table:
-        q = quota.get(str(g[key_col].iloc[0]), 0)
-        g = g.sort_values(["rank", "doc_id"]).head(q)
-        return _pt(
-            g[["doc_id", key_col]],
-            pa.schema([("doc_id", pa.int64()), (key_col, pa.string())]),
-        )
-
-    return (
-        scrub_empty_blocks(
-            docs.map_batches(local_top, batch_format="pyarrow")
-        )
-        .groupby(key_col)
-        .map_groups(final_top, batch_format="pandas")
+    return top_k(
+        docs.map_batches(rank, batch_format="pyarrow"),
+        [("rank", "ascending"), ("doc_id", "ascending")],
+        quota,
+        by=key_col,
+        project=lambda t: t.select(["doc_id", key_col]),
     )
 
 
@@ -4264,9 +4136,9 @@ def temperature_sample_by_source(
 
     Ray shape for 100 TB: counts come from per-batch partial
     value-counts (rows shipped = sources x blocks, never the corpus);
-    selection is a per-batch LOCAL top-quota-per-source combiner
-    followed by a per-source ``map_groups`` final cut — a hot source
-    never ships more than quota rows per block.
+    selection is ``quota_rank_sample`` (``stages/topk.top_k`` with the
+    per-source quotas) — a hot source never ships more than quota rows
+    per block.
     """
     import math
 
@@ -4362,8 +4234,8 @@ def unimax_sample_documents(
     value-counts (rows = langs x blocks, never the corpus); the
     waterfill runs on the language-count-sized table driver-side;
     full epochs are one stateless np.repeat pass; the partial epoch
-    reuses the local top-quota combiner + per-lang map_groups cut, so
-    a language never ships more than its remainder per block.
+    reuses ``quota_rank_sample`` with the remainders as quotas, so a
+    language never ships more than its remainder per block.
     """
     import pyarrow.compute as pc
 
@@ -5202,8 +5074,8 @@ def pmi_top_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
     word missing from the unigram vocabulary means the two partial
     kinds tokenized differently (corrupt PMI), and scoring raises on
     it on either path.
-    Final top-k: per-batch local top-k combiner, global sort+limit
-    over the <= k x n_blocks survivor set. PMI rounds to 6 dp on both
+    Final top-k: ``stages/topk.top_k`` (a per-batch combiner, one sort
+    of the <= k x n_blocks survivors). PMI rounds to 6 dp on both
     engines.
     """
     import pyarrow.compute as pc
@@ -5311,9 +5183,7 @@ def pmi_top_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
             np.log((n12 / n2) / ((c1 / n1) * (c2 / n1))), 6
         )
 
-    def local_top(batch: pa.Table) -> pa.Table:
-        w1 = np.asarray(batch["w1"].to_pylist(), dtype=object)
-        w2 = np.asarray(batch["w2"].to_pylist(), dtype=object)
+    def score(batch: pa.Table) -> pa.Table:
         n12 = batch["n12"].to_numpy(zero_copy_only=False).astype(np.float64)
         if batch["w1_cnt"].null_count or batch["w2_cnt"].null_count:
             raise ValueError(
@@ -5321,14 +5191,12 @@ def pmi_top_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
             )
         c1 = batch["w1_cnt"].to_numpy().astype(np.float64)
         c2 = batch["w2_cnt"].to_numpy().astype(np.float64)
-        s = _pmi(n12, c1, c2)
-        keep = np.sort(np.lexsort((w2, w1, -s))[:k])
         return pa.table(
             {
-                "w1": pa.array(list(w1[keep]), pa.string()),
-                "w2": pa.array(list(w2[keep]), pa.string()),
-                "n12": pa.array(n12[keep].astype(np.int64), pa.int64()),
-                "pmi": pa.array(s[keep], pa.float64()),
+                "w1": batch["w1"],
+                "w2": batch["w2"],
+                "n12": pa.array(n12.astype(np.int64), pa.int64()),
+                "pmi": pa.array(_pmi(n12, c1, c2), pa.float64()),
             },
             schema=out_schema,
         )
@@ -5336,13 +5204,11 @@ def pmi_top_bigrams(sf_dir: str, k: int = 50, min_count: int = 5):
     scored = attach_by_key(
         cand, uni, "w1", ["cnt"], on={"w1": "w1_", "w2": "w2_"}, how="left"
     )
-    scored = scrub_empty_blocks(scored).map_batches(
-        local_top, batch_format="pyarrow"
+    return top_k(
+        scrub_empty_blocks(scored).map_batches(score, batch_format="pyarrow"),
+        [("pmi", "descending"), ("w1", "ascending"), ("w2", "ascending")],
+        k,
     )
-
-    return scored.sort(
-        ["pmi", "w1", "w2"], descending=[True, False, False]
-    ).limit(k)
 
 
 def dup_cluster_size_histogram(

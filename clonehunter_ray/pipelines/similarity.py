@@ -19,6 +19,7 @@ import ray.data
 
 from clonehunter_ray.functions import hashing as H
 from clonehunter_ray.functions import veccodec as V
+from clonehunter_ray.stages.topk import top_k
 
 
 def _hyperplanes(dim: int, n_bits: int, seed: int) -> np.ndarray:
@@ -54,23 +55,22 @@ def _uniform_sample_embeddings(emb_ds, n: int):
     training: priority = mixed hash of vec_id, keep the n smallest. A
     ``limit(n)`` prefix is NOT uniform — parquet written in
     topic/source order would train every centroid on the first topic
-    and collapse the rest into a few far cells. Ray shape: per-batch
-    local top-n by priority (a combiner — at most n rows leave any
-    block), then one bounded sort over <= n x n_blocks survivors."""
+    and collapse the rest into a few far cells. Ray shape: a priority
+    map, then ``stages/topk.top_k`` (a per-batch combiner, one bounded
+    sort over <= n x n_blocks survivors); rows come back in priority
+    order."""
     from clonehunter_ray.functions.hashing import _mix64
 
-    def local_top(batch: pa.Table) -> pa.Table:
+    def priority(batch: pa.Table) -> pa.Table:
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         pri = _mix64(ids.astype(np.uint64))
-        keep = np.sort(np.argsort(pri, kind="stable")[:n])
-        out = batch.take(pa.array(keep, pa.int64()))
-        return out.append_column("_pri", pa.array(pri[keep], pa.uint64()))
+        return batch.append_column("_pri", pa.array(pri, pa.uint64()))
 
-    return (
-        emb_ds.map_batches(local_top, batch_format="pyarrow")
-        .sort("_pri")
-        .limit(n)
-        .drop_columns(["_pri"])
+    return top_k(
+        emb_ds.map_batches(priority, batch_format="pyarrow"),
+        [("_pri", "ascending"), ("vec_id", "ascending")],
+        n,
+        project=lambda t: t.drop_columns(["_pri"]),
     )
 
 
@@ -125,17 +125,17 @@ def lsh_knn_cosine(
             }
         )
 
-    partials = emb_ds.map_batches(score, batch_format="pyarrow")
+    def emit(t: pa.Table) -> pa.Table:
+        cos5 = pa.array(t["cos"].to_numpy().round(5), pa.float64())
+        return t.select(["query_id", "vec_id", "rank"]).append_column("cos5", cos5)
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["cos", "vec_id"], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = range(1, len(g) + 1)
-        g["cos5"] = g["cos"].round(5)
-        return g[["query_id", "vec_id", "rank", "cos5"]]
-
-    return partials.groupby("query_id").map_groups(
-        final_topk, batch_format="pandas"
+    return top_k(
+        emb_ds.map_batches(score, batch_format="pyarrow"),
+        [("cos", "descending"), ("vec_id", "ascending")],
+        k,
+        by="query_id",
+        rank="rank",
+        project=emit,
     )
 
 
@@ -215,16 +215,13 @@ def ivf_knn_cosine(
             }
         )
 
-    partials = emb_ds.map_batches(score, batch_format="pyarrow")
-
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["cos", "vec_id"], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = range(1, len(g) + 1)
-        return g[["query_id", "vec_id", "rank"]]
-
-    return partials.groupby("query_id").map_groups(
-        final_topk, batch_format="pandas"
+    return top_k(
+        emb_ds.map_batches(score, batch_format="pyarrow"),
+        [("cos", "descending"), ("vec_id", "ascending")],
+        k,
+        by="query_id",
+        rank="rank",
+        project=lambda t: t.select(["query_id", "vec_id", "rank"]),
     )
 
 
@@ -1140,18 +1137,12 @@ def pq_knn_cosine(
             }
         )
 
-    partials = codes_ds.map_batches(adc_scan, batch_format="pyarrow")
-
-    def approx_topr(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values(
-            ["approx", "vec_id"], ascending=[False, True]
-        ).head(rerank)
-
-    cand = (
-        partials.groupby("query_id")
-        .map_groups(approx_topr, batch_format="pandas")
-        .to_pandas()
-    )
+    cand = top_k(
+        codes_ds.map_batches(adc_scan, batch_format="pyarrow"),
+        [("approx", "descending"), ("vec_id", "ascending")],
+        rerank,
+        by="query_id",
+    ).to_pandas()
     if cand.empty:
         return ray.data.from_arrow(
             pa.table(

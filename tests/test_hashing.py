@@ -14,6 +14,20 @@ def test_sha256_matches_reference_recipe():
     assert H.sha256_hex("héllo") == hashlib.sha256("héllo".encode()).hexdigest()
 
 
+def test_hex_uniform_is_the_inline_recipe_bit_for_bit():
+    hexes = ["0" * 64, "f" * 64] + [H.sha256_hex(f"s:{i}") for i in range(300)]
+    inline = (
+        np.array([int(h[:13], 16) for h in hexes], dtype=np.float64) + 0.5
+    ) / float(1 << 52)
+    got = H.hex_uniform(hexes)
+    assert got.dtype == np.float64
+    assert got.tobytes() == inline.tobytes()
+    assert got[0] == 0.5 / 2**52
+    assert got[1] == (2**52 - 0.5) / 2**52
+    assert 0.0 < got.min() and got.max() < 1.0
+    assert H.hex_uniform([]).shape == (0,)
+
+
 def test_tokenize_matches_reference_alphabet():
     # reference similarity/lexical.py:18-19
     assert H.tokenize("Foo_bar baz-42 Qux!") == ["foo_bar", "baz", "42", "qux"]
