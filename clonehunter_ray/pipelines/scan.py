@@ -12,17 +12,20 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
        target_max_block_size is SIGNATURE_BLOCK_BYTES; every later
        stage plans on the session's)
       [checkpoint: signatures]
+      -> one task per signature block: narrow_block
+                                              # ids, band keys, payload, unit_key
       -> sort(snippet_id), materialized       # blocks = the sid-range index
       -> one task per index block: explode_bands_packed
                                               # (part, band keys, sids) blobs
-      -> groupby(part).map_groups(emit)       # THE shuffle: bucket pairs
-      -> map_batches(attach_sids(kind, sizes) -> pre_gate_pairs)
-                                              # size/kind upper-bound mask
-      -> dedupe_pairs                         # (a,b) hash partition + group_by
-      -> map_batches(attach_sids(payload))    # range-take by sid
-      -> map_batches(verify_pairs)            # exact Jaccard + filters
-      [checkpoint: pairs]
-      -> groupby(pair_key).map_groups(rollup) # finding aggregation
+      -> groupby(part).map_groups(emit)       # band exchange: bucket pairs
+      -> map_batches(_gate)                   # range-take kind/sizes/unit_key,
+                                              # size/kind mask, part = unit pair
+      -> groupby(part).map_groups(_pair_partition)
+                                              # unit-pair exchange: dedup,
+                                              # range-take payload, verify,
+                                              # and (streamed) rollup
+      [checkpoint: pairs; a persisted pair stage is rolled up by
+       groupby(pair_key).map_groups(rollup) instead]
       [checkpoint: findings]
       -> connected components (driver union-find; distributed loop at scale)
       [checkpoint: clusters]                   # labelled findings
@@ -35,20 +38,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
+import ray
 import ray.data
 
 from clonehunter_ray.config import EngineConfig
 from clonehunter_ray.stages import clustering as C
 from clonehunter_ray.stages.candidates import (
+    _with_part,
     attach_sids,
-    dedupe_pairs,
+    dedupe_partition,
     emit_pairs_packed_partition,
     explode_bands_packed,
+    narrow_block,
     pre_gate_pairs,
     sid_index,
 )
 from clonehunter_ray.stages.extract import add_content_sha256, extract_units_batch
+from clonehunter_ray.stages.rollup import FINDINGS_SCHEMA, rollup_partition
 from clonehunter_ray.stages.signatures import signatures_task
 from clonehunter_ray.stages.snippets import generate_snippets_batch
 from clonehunter_ray.stages.verify import verify_pairs_batch
@@ -90,7 +98,7 @@ def _shuffle_strategy(config: EngineConfig, band_rows: int):
     "auto" is push-based once the estimated band volume would overflow
     the object store and go spill-I/O-bound (measured 3.3x at 1.6M
     files, BASELINE.md round 5), pull-based below it where push costs a
-    few percent. ``build_pairs`` sets it on those datasets' own
+    few percent. ``build_exchange`` sets it on those datasets' own
     DataContexts, never on the session's."""
     from ray.data.context import ShuffleStrategy
 
@@ -153,7 +161,7 @@ def build_signatures(
     """files -> signatures (the narrow half; ``prefix`` reuses an
     already-built (hashed, units, snippets) chain). The result runs on
     its own DataContext copy (``SIGNATURE_BLOCK_BYTES``); the prefix
-    datasets and the session keep theirs, and ``build_pairs`` (like
+    datasets and the session keep theirs, and ``build_exchange`` (like
     ``scan``) goes back to the session's value."""
     hashed, _units, snippets = prefix or build_prefix(files_ds, config)
     if config.expansion.enabled:
@@ -178,34 +186,111 @@ def build_signatures(
     return with_block_size(signatures, SIGNATURE_BLOCK_BYTES)
 
 
-def build_pairs(
+def _sid_index(signatures: "ray.data.Dataset", cols: list[str], strategy) -> tuple:
+    """The sid-range index: each non-empty signature block narrowed to
+    ``cols`` plus ``unit_key`` by one plain task
+    (``candidates.narrow_block``), sorted by ``snippet_id`` on
+    ``strategy`` and materialized (``candidates.sid_index``)."""
+    narrow = ray.remote(narrow_block)
+    refs = [
+        narrow.remote(ref, cols)
+        for bundle in signatures.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]
+    narrowed = ray.data.from_arrow_refs(refs)
+    narrowed.context.shuffle_strategy = strategy
+    return sid_index(narrowed.sort("snippet_id").materialize())
+
+
+def _gate(
+    batch: pa.Table,
+    index,
+    thresholds,
+    substr_floor: float | None,
+    num_partitions: int,
+) -> pa.Table:
+    """Candidate sid pairs -> the ``(a_id, b_id, part)`` rows the
+    size/kind gate keeps (``candidates.pre_gate_pairs`` on the narrow
+    columns range-taken by sid), ``part`` = a hash of the pair's
+    unordered unit pair mod P: every duplicate of a sid pair and every
+    pair of one unit pair land in one partition."""
+    gated = pre_gate_pairs(
+        attach_sids(batch, index, ["kind", "n_shingles", "n_tokens", "unit_key"]),
+        thresholds,
+        substr_floor,
+    )
+    a = gated["a_unit_key"].to_numpy(zero_copy_only=False)
+    b = gated["b_unit_key"].to_numpy(zero_copy_only=False)
+    units = pa.table({"lo": np.minimum(a, b), "hi": np.maximum(a, b)})
+    return gated.select(["a_id", "b_id"]).append_column(
+        "part", _with_part(units, ["lo", "hi"], num_partitions)["part"]
+    )
+
+
+def _pair_partition(
+    partition: pa.Table,
+    index,
+    cols: list[str],
+    thresholds,
+    substring,
+    rollup: bool = False,
+    metrics=None,
+) -> pa.Table:
+    """One unit-pair partition of gated sid pairs -> its verified pairs,
+    or with ``rollup`` its findings (the verified-pair count goes to
+    ``metrics``): the pair dedup (``candidates.dedupe_partition``), the
+    payload range-take and ``verify_pairs_batch``, then
+    ``rollup.rollup_partition``. The partition holds every duplicate of
+    its sid pairs and every verified pair of its unit pairs, so the
+    dedup and the rollup are exact. Deduped pairs are in sid order, so
+    a partition's rows come out in the same order on every run."""
+    pairs = dedupe_partition(partition).sort_by(
+        [("a_id", "ascending"), ("b_id", "ascending")]
+    )
+    verified = verify_pairs_batch(
+        _with_payload(pairs, index, cols), thresholds, substring
+    )
+    if not rollup:
+        return verified
+    from clonehunter_ray.state import metrics as M
+
+    M.report_metrics(metrics, {"verified_pairs": verified.num_rows})
+    return rollup_partition(verified, thresholds)
+
+
+def build_exchange(
     signatures: "ray.data.Dataset",
     config: EngineConfig,
     metrics=None,
     plan: dict | None = None,
-) -> "ray.data.Dataset":
-    """signatures -> verified pairs (the wide half), one pipeline for
-    every corpus size.
+) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
+    """signatures -> (verified pairs, findings), the wide half, one
+    pipeline for every corpus size. Both datasets are lazy views of one
+    exchange; the findings view reports the verified-pair count to
+    ``metrics``.
 
     A sid is the global rank of ``snippet_id``. The signature table,
-    narrowed to the ids, band keys and payload, is sorted by it once and
-    materialized, and its blocks in order are the sid-range index
-    (``candidates.sid_index``). Each index block explodes in one task
-    into packed (band key, sid) blobs, so the band shuffle moves ~12
-    bytes per band row instead of a ~64-byte id string (the pipeline's
-    dominant shuffle volume). The emitted sid pairs are gated on narrow
-    columns and, after the pair dedup, get their payload; both come
-    from the one range-take kernel (``candidates.attach_sids``), so no
-    string crosses a shuffle and no hash join runs. The plan lands in
-    ``plan`` (when given): ``snippets``, ``index_blocks``,
-    ``partitions`` and ``shuffle_strategy``.
+    narrowed to the ids, band keys and payload plus a per-sid
+    ``unit_key``, is sorted by it once and materialized here, and its
+    blocks in order are the sid-range index (``_sid_index``). Each index
+    block explodes in one task into packed (band key, sid) blobs, so the
+    band shuffle moves ~12 bytes per band row instead of a ~64-byte id
+    string (the pipeline's dominant shuffle volume). The emitted sid
+    pairs are gated on narrow columns and partitioned by their unit
+    pair (``_gate``); one exchange then dedups, verifies and, for the
+    findings, rolls up each partition (``_pair_partition``). Every
+    column comes from the one range-take kernel
+    (``candidates.attach_sids``), so no string crosses a shuffle and no
+    hash join runs. The plan lands in ``plan`` (when given):
+    ``snippets``, ``index_blocks``, ``partitions`` and
+    ``shuffle_strategy``.
     """
     sig = config.signature
     substring = config.substring.enabled
     payload_cols = _JOIN_PAYLOAD + (["token_seq"] if substring else [])
     # plan on the session's block size, whatever context the
-    # signatures were built on (build_signatures scopes its own); the
-    # copy's context also carries the sort's shuffle strategy below
+    # signatures were built on (build_signatures scopes its own)
     signatures = with_block_size(signatures)
     n_sigs = signatures.count()
     band_rows = n_sigs * sig.num_bands
@@ -225,11 +310,8 @@ def build_pairs(
             )
         )
 
-    signatures.context.shuffle_strategy = strategy
-    index = sid_index(
-        signatures.select_columns(["snippet_id", "band_keys", *payload_cols])
-        .sort("snippet_id")
-        .materialize()
+    index = _sid_index(
+        signatures, ["snippet_id", "band_keys", *payload_cols], strategy
     )
     _, starts, blocks = index
     plan = {} if plan is None else plan
@@ -252,46 +334,54 @@ def build_pairs(
         ]
     )
     packed.context.shuffle_strategy = strategy
-    candidates = packed.groupby("part").map_groups(
-        lambda g: emit_pairs_packed_partition(
-            g, sig.max_bucket_pairs_full, sig.skew_mode, sig.salt_rounds, metrics
-        ),
-        batch_format="pyarrow",
-    )
-
-    # the size/kind gate runs BEFORE the global pair dedup: a clone
-    # pair collides in ~12 bands (measured dup factor 11.7x at 20k
-    # files), and the gate's verdict is identical for every duplicate
-    # — gating first shrinks the dedup shuffle's input ~13x
+    # the size/kind gate runs BEFORE the pair dedup: a clone pair
+    # collides in ~12 bands (measured dup factor 11.7x at 20k files),
+    # and the gate's verdict is identical for every duplicate — gating
+    # first shrinks the unit-pair exchange's input ~13x
     gated = (
-        candidates.map_batches(
-            attach_sids,
-            fn_kwargs={"index": index, "cols": ["kind", "n_shingles", "n_tokens"]},
+        packed.groupby("part")
+        .map_groups(
+            lambda g: emit_pairs_packed_partition(
+                g, sig.max_bucket_pairs_full, sig.skew_mode, sig.salt_rounds, metrics
+            ),
             batch_format="pyarrow",
         )
         .map_batches(
-            pre_gate_pairs,
+            _gate,
             fn_kwargs={
+                "index": index,
                 "thresholds": config.thresholds,
                 "substr_floor": config.substring.floor if substring else None,
+                "num_partitions": nparts,
             },
             batch_format="pyarrow",
         )
-        .select_columns(["a_id", "b_id", "capped"])
     )
-    return (
-        dedupe_pairs(gated, nparts)
-        .map_batches(
-            _with_payload,
-            fn_kwargs={"index": index, "cols": payload_cols},
-            batch_format="pyarrow",
+    kernel = {
+        "index": index,
+        "cols": payload_cols,
+        "thresholds": config.thresholds,
+        "substring": config.substring,
+    }
+
+    def exchange(**rollup) -> "ray.data.Dataset":
+        return gated.groupby("part").map_groups(
+            _pair_partition, fn_kwargs=kernel | rollup, batch_format="pyarrow"
         )
-        .map_batches(
-            verify_pairs_batch,
-            fn_kwargs={"thresholds": config.thresholds, "substring": config.substring},
-            batch_format="pyarrow",
-        )
-    )
+
+    return exchange(), exchange(rollup=True, metrics=metrics)
+
+
+def build_pairs(
+    signatures: "ray.data.Dataset",
+    config: EngineConfig,
+    metrics=None,
+    plan: dict | None = None,
+) -> "ray.data.Dataset":
+    """signatures -> verified pairs: ``build_exchange``'s pair view,
+    the input of a persisted pair stage (``build_findings`` rolls it up
+    after)."""
+    return build_exchange(signatures, config, metrics, plan)[0]
 
 
 def _with_payload(batch: pa.Table, index, cols: list[str]) -> pa.Table:
@@ -304,26 +394,29 @@ def _with_payload(batch: pa.Table, index, cols: list[str]) -> pa.Table:
     return out
 
 
+def _pair_key_partitions(config: EngineConfig) -> int:
+    """P of ``build_findings``' pair_key exchange. Its input is VERIFIED
+    pairs — bounded by the banding accountant (cap x buckets), orders
+    below the band-row volume the band exchange autoscales for. 64
+    partitions holds to ~10^8 verified pairs (~1.5M/partition); past
+    that set exec.shuffle_partitions explicitly (it feeds this and the
+    cluster-attach join)."""
+    return config.exec.shuffle_partitions or 64
+
+
 def build_findings(
     pairs: "ray.data.Dataset", config: EngineConfig
 ) -> "ray.data.Dataset":
-    """Partitioned rollup: hash(pair_key) -> P groups, every pair group
-    processed inside its partition pass (stages/rollup.py — avoids one
-    Ray-level UDF call per function pair, which is millions at scale)."""
-    from clonehunter_ray.stages.rollup import add_rollup_partition, rollup_partition
-
+    """Verified pairs (a persisted pair stage) -> findings: one
+    hash(pair_key) exchange into P partitions, every pair group rolled
+    up inside its partition pass (``rollup.rollup_partition`` — no
+    Ray-level UDF call per function pair, which is millions at scale).
+    The streamed scan rolls up inside ``build_exchange`` instead."""
     thresholds = config.thresholds
-    # rollup input is VERIFIED pairs — bounded by the banding
-    # accountant (cap x buckets), orders below the band-row volume the
-    # band exchange autoscales for. 64 partitions holds to ~10^8
-    # verified pairs (~1.5M/partition); past that set
-    # exec.shuffle_partitions explicitly (it feeds this and the
-    # cluster-attach join).
-    nparts = config.exec.shuffle_partitions or 64
     return (
         pairs.map_batches(
-            add_rollup_partition,
-            fn_kwargs={"num_partitions": nparts},
+            _with_part,
+            fn_args=(["pair_key"], _pair_key_partitions(config)),
             batch_format="pyarrow",
         )
         .groupby("part")
@@ -331,17 +424,6 @@ def build_findings(
             lambda g: rollup_partition(g, thresholds), batch_format="pyarrow"
         )
     )
-
-
-def _tally_rows(batch, metrics=None, counter: str = "rows"):
-    """Pass-through batch map that counts rows into the run's metrics
-    actor — lets a lazy (streamed) stage report its cardinality without
-    a materialize barrier. Task retries can double-count; the counter
-    is a run statistic, not a correctness input."""
-    from clonehunter_ray.state import metrics as M
-
-    M.report_metrics(metrics, {counter: batch.num_rows})
-    return batch
 
 
 def scan(
@@ -399,24 +481,22 @@ def scan(
     t0 = time.monotonic()
     pairs_plan: dict = {}
     if root is None and not config.exec.materialize_pairs:
-        # STREAMING pairs -> findings: without a checkpoint root there
-        # is no reason to barrier between the two wide stages — verify
-        # output blocks flow straight into the rollup shuffle's map
-        # side, overlapping the tail of the pair stage with the head of
-        # the findings stage. The verified-pair count for ScanStats is
-        # tallied in-stream (counting the lazy dataset afterwards would
-        # re-run the whole band shuffle).
+        # STREAMING pairs -> findings: without a checkpoint root the
+        # pairs are never persisted, so one unit-pair exchange dedups,
+        # verifies and rolls up (build_exchange); "pairs" times the
+        # eager sid-index build, "findings" the fused exchange. The
+        # verified-pair count for ScanStats is reported from the
+        # exchange (counting the lazy pairs view afterwards would re-run
+        # the whole band shuffle).
         ckpt_stats["pairs"] = "streamed"
-        pairs = build_pairs(
-            signatures, config, metrics_handle, pairs_plan
-        ).map_batches(
-            _tally_rows,
-            fn_kwargs={"metrics": metrics_handle, "counter": "verified_pairs"},
-            batch_format="pyarrow",
-        )
-        timing["pairs"] = 0.0  # fused into the findings stage below
+        pairs, fused = build_exchange(signatures, config, metrics_handle, pairs_plan)
+        make_findings = lambda: fused  # noqa: E731
+        findings_plan = {
+            "partitions": pairs_plan["partitions"], "exchange": "unit_pair"
+        }
+        timing["pairs"] = round(time.monotonic() - t0, 3)
         if _log:
-            _log.info("Verify pairs: streamed (fused into findings)")
+            log_stage("Sid index (pairs streamed into findings)", timing["pairs"])
     else:
         pairs = ckpt.checkpoint_or_compute(
             lambda: build_pairs(signatures, config, metrics_handle, pairs_plan),
@@ -426,12 +506,16 @@ def scan(
         if ckpt_stats["pairs"] == "hit":
             # a checkpoint written before the record existed has none
             pairs_plan.update(ckpt.read_lineage(root, "pairs").get("plan", {}))
+        make_findings = lambda: build_findings(pairs, config)  # noqa: E731
+        findings_plan = {
+            "partitions": _pair_key_partitions(config), "exchange": "pair_key"
+        }
         timing["pairs"] = round(time.monotonic() - t0, 3)
         if _log:
             log_stage("Verify pairs", timing["pairs"])
     t0 = time.monotonic()
     findings = ckpt.checkpoint_or_compute(
-        lambda: build_findings(pairs, config), root, "findings", fp, ckpt_stats,
+        make_findings, root, "findings", fp, ckpt_stats
     )
     timing["findings"] = round(time.monotonic() - t0, 3)
     if _log:
@@ -499,8 +583,6 @@ def scan(
     if n_findings == 0:
         # the stages after the pair shuffle passed only empty blocks,
         # whose map UDFs never run, so nothing typed the result
-        from clonehunter_ray.stages.rollup import FINDINGS_SCHEMA
-
         schema = FINDINGS_SCHEMA
         if config.cluster.enabled:
             schema = schema.append(pa.field("cluster_id", pa.int64()))
@@ -520,17 +602,22 @@ def scan(
     # materialized or checkpointed by now), capped-LSH recall
     # accounting from the run's metrics actor, checkpoint hit/miss
     lsh = {k: int(v) for k, v in M.read_metrics(metrics_handle).items()}
-    # in streaming mode the verified-pair count was tallied in-stream
-    # (the pairs dataset is a lazy view; counting it would re-run the
-    # band shuffle) — it is a run counter, not an LSH stat. Default 0:
-    # a clone-free corpus emits only empty blocks, so the counter is
-    # never reported, and 0 IS the true count (not a -1 sentinel).
+    # in streaming mode the verified-pair count was reported by the
+    # exchange (the pairs dataset is a lazy view; counting it would
+    # re-run the band shuffle) — it is a run counter, not an LSH stat.
+    # Default 0: a clone-free corpus emits only empty blocks, so the
+    # counter is never reported, and 0 IS the true count (not a -1
+    # sentinel).
     n_pairs = int(lsh.pop("verified_pairs", 0))
     if ckpt_stats.get("pairs") != "streamed":
         # checkpointed or exec.materialize_pairs: the dataset is
         # concrete, count it directly (no in-stream tally ran)
         n_pairs = pairs.count()
-    if root and lsh and ckpt_stats.get("pairs") == "miss":
+    if ckpt_stats.get("pairs") == "hit":
+        # the band exchange did not run: its counters are the ones the
+        # run that wrote the checkpoint recorded
+        lsh = ckpt.read_lineage(root, "pairs").get("lsh", {})
+    elif root and lsh and ckpt_stats.get("pairs") == "miss":
         ckpt.update_lineage(root, "pairs", {"lsh": lsh})
     stats = {
         "timing": timing,
@@ -543,7 +630,11 @@ def scan(
         "lsh": lsh,
         "checkpoint": dict(ckpt_stats),
         # automatic plan decisions with their inputs
-        "plan": {"signatures": signatures_plan, "pairs": pairs_plan}
+        "plan": {
+            "signatures": signatures_plan,
+            "pairs": pairs_plan,
+            "findings": findings_plan,
+        }
         | ({"clustering": clustering} if clustering else {}),
     }
 

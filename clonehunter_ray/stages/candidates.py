@@ -4,16 +4,18 @@ that follow it.
 This dissolves the reference's O(N^2/P)-per-worker k-NN self-join
 (reference similarity/candidates.py:117-164, where every worker rebuilt
 the FULL vector index) into the one wide dependency of every LSH
-pipeline, built from four pieces shared by the scan, the document
-pipelines, SimHash and embedding LSH:
+pipeline, built from four pieces shared by the document pipelines,
+SimHash and embedding LSH (the scan uses all but ``band_pairs``):
 
     explode_bands         (id, band_keys) -> (band_key, id) rows
     band_pairs            band_key % P partition -> emit per partition
                           -> dedupe_pairs
     emit_pairs_partition  buckets = runs of the sorted band_key; every
                           bucket's pairs a < b, hot buckets capped
-    dedupe_pairs          (a_id, b_id) hash partition -> one Arrow
-                          group_by per partition
+    dedupe_partition      one Arrow group_by per partition; the document
+                          pipelines run it after an (a_id, b_id) hash
+                          partition (``dedupe_pairs``), the scan inside
+                          its unit-pair exchange
 
 Two items become a candidate pair iff they share at least one LSH band
 hash; with band_rows=4, num_bands=32 the detection probability at
@@ -35,11 +37,14 @@ one ``fits_broadcast`` rule); every other keyed lookup of the engine
 (dimension and vocabulary lookups, cluster ids and component labels,
 winner and summary left attaches) is the same ``attach_by_key``. The
 scan's ids are int sids, the global ranks of ``snippet_id``: its
-signature table, sorted once, is the sid-range index (``sid_index``),
-and one range-take kernel (``take_sids``, paired as ``attach_sids``)
-attaches the narrow columns that ``pre_gate_pairs`` gates on
-(``verify.size_kind_gate``) and then the survivors' payload, with no
-join.
+signature table, narrowed block by block (``narrow_block``) and sorted
+once, is the sid-range index (``sid_index``), and one range-take kernel
+(``take_sids``, paired as ``attach_sids``) attaches the narrow columns
+that ``pre_gate_pairs`` gates on (``verify.size_kind_gate``) and then
+the survivors' payload, with no join. The scan does not call
+``dedupe_pairs``: its gated pairs are partitioned by unit pair, and one
+exchange dedups, verifies and rolls up each partition
+(``pipelines/scan.build_exchange``).
 """
 
 from __future__ import annotations
@@ -220,15 +225,19 @@ def emit_pairs_partition(
 
 def _id_hash(col) -> np.ndarray:
     """A deterministic uint64 per id: int ids as themselves, string ids
-    as a splitmix chain over their bytes read in 8-byte words."""
+    as a splitmix chain over their own bytes read in 8-byte words, so a
+    string hashes the same in every batch (the batch's longest id only
+    sets the width of the scratch array)."""
     if pa.types.is_integer(col.type):
         return col.to_numpy(zero_copy_only=False).astype(np.uint64)
-    raw = col.cast(pa.binary()).to_numpy(zero_copy_only=False).astype("S")
+    raw = col.cast(pa.binary())
+    n_words = -(-pc.binary_length(raw).to_numpy(zero_copy_only=False) // 8)
+    raw = raw.to_numpy(zero_copy_only=False).astype("S")
     width = -(-raw.dtype.itemsize // 8) * 8
     words = raw.astype(f"S{width}").view(np.uint64).reshape(len(raw), -1)
     h = np.zeros(len(raw), dtype=np.uint64)
-    for w in words.T:
-        h = _mix64(h ^ w)
+    for i, w in enumerate(words.T):
+        h = np.where(i < n_words, _mix64(h ^ w), h)
     return h
 
 
@@ -265,10 +274,11 @@ def dedupe_partition(t: pa.Table) -> pa.Table:
 
 
 def dedupe_pairs(pairs, num_partitions: int):
-    """The pair-dedup step of every LSH pipeline: a pair emitted from
-    several bands or buckets comes out once (``dedupe_partition``),
-    after one ``(a_id, b_id)`` hash partition into ``num_partitions``
-    groups (P group calls, not one per pair)."""
+    """The pair-dedup step of the document LSH pipelines (the scan
+    dedups inside its unit-pair exchange): a pair emitted from several
+    bands or buckets comes out once (``dedupe_partition``), after one
+    ``(a_id, b_id)`` hash partition into ``num_partitions`` groups (P
+    group calls, not one per pair)."""
     return (
         pairs.map_batches(
             _with_part,
@@ -748,6 +758,16 @@ def attach_sids(batch: pa.Table, index, cols: list[str]) -> pa.Table:
         for c in cols:
             batch = batch.append_column(f"{p}{c}", side[c])
     return batch
+
+
+def narrow_block(block: pa.Table, cols: list[str]) -> pa.Table:
+    """One signature block -> its ``cols`` plus ``unit_key``, the
+    ``_id_hash`` of ``unit_id``: the sid index's input, narrowed by one
+    plain task per materialized block so no map operator runs (and
+    writes the table once more) before the snippet-id sort."""
+    return block.select(cols).append_column(
+        "unit_key", pa.array(_id_hash(block["unit_id"]), pa.uint64())
+    )
 
 
 def explode_bands_packed(

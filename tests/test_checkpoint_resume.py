@@ -366,6 +366,11 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
     assert missed["checkpoint"]["pairs"] == "miss"
     assert resumed["checkpoint"]["pairs"] == "hit"
     assert streamed["checkpoint"]["pairs"] == "streamed"
+    # the streamed scan rolls up inside its unit-pair exchange; a
+    # persisted pair stage is rolled up by its own pair_key exchange
+    assert streamed["plan"]["findings"] == {"partitions": 64, "exchange": "unit_pair"}
+    for stats in (missed, resumed):
+        assert stats["plan"]["findings"] == {"partitions": 64, "exchange": "pair_key"}
     for stats in (streamed, missed, resumed):
         pairs = stats["plan"]["pairs"]
         assert set(pairs) == {
@@ -375,6 +380,7 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
         assert pairs["index_blocks"] > 0
         assert pairs["partitions"] == 64
         assert pairs["shuffle_strategy"] == "sort_shuffle_pull_based"
+        assert set(stats["plan"]) == {"signatures", "pairs", "findings", "clustering"}
         rec = stats["plan"]["clustering"]
         assert set(rec) == {"path", "edges", "rounds"}
         assert rec == {
@@ -384,3 +390,53 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
         }
     assert streamed["counts"]["findings"] > 0
 
+
+
+def _sorted_findings(res) -> pa.Table:
+    # blocks the exchange left empty may carry no schema
+    blocks = ray.get(res.findings.to_arrow_refs())
+    table = pa.concat_tables([b for b in blocks if b.num_rows])
+    return table.sort_by([("pair_key", "ascending")])
+
+
+def test_findings_equal_streamed_checkpointed_and_resumed(
+    ray_session, tiny_corpus, tmp_path
+):
+    """The streamed scan (one unit-pair exchange rolls up), a
+    checkpointed run (the persisted pairs rolled up by their pair_key
+    exchange) and a run resumed from the pairs checkpoint give equal
+    findings, counts and LSH counters, under the default salted mode
+    and under ``star`` with a cap every multi-member bucket exceeds."""
+    from clonehunter_ray.config import SignatureConfig
+
+    files, _ = tiny_corpus
+    for i, sig in enumerate(
+        (SignatureConfig(), SignatureConfig(skew_mode="star", max_bucket_pairs_full=1))
+    ):
+        config = EngineConfig(signature=sig)
+        root = str(tmp_path / f"ck{i}")
+        runs, found = [], []
+        for resume in (None, False, True):
+            if resume:
+                for stage in ("findings", "clusters"):
+                    shutil.rmtree(os.path.join(root, stage))
+            ck = None if resume is None else root
+            runs.append(scan(ray.data.from_arrow(files), config, ck))
+            # read now: a checkpointed result reads the files the next
+            # run replaces
+            found.append(_sorted_findings(runs[-1]))
+        assert [r.stats["checkpoint"]["pairs"] for r in runs] == [
+            "streamed", "miss", "hit"
+        ]
+        assert [r.stats["plan"]["findings"]["exchange"] for r in runs] == [
+            "unit_pair", "pair_key", "pair_key"
+        ]
+        streamed, *persisted = found
+        assert streamed.num_rows > 0
+        for table in persisted:
+            assert table.cast(streamed.schema).equals(streamed)
+        for r in runs[1:]:
+            assert r.stats["counts"] == runs[0].stats["counts"]
+            assert r.stats["lsh"] == runs[0].stats["lsh"]
+        if sig.skew_mode == "star":
+            assert runs[0].stats["lsh"]["lsh_buckets_capped"] > 0

@@ -124,3 +124,23 @@ def test_dedupe_partition_type_rule(ids):
     empty = dedupe_partition(t.slice(0, 0))
     assert empty.num_rows == 0
     assert empty.schema.equals(t.drop_columns(["part"]).schema)
+
+
+def test_with_part_string_ids_independent_of_batch():
+    """A string id falls in the same partition whatever else its batch
+    holds: the hash reads only the id's own bytes, not the batch's
+    widest id (a pair split over two batches must meet in one
+    partition to be deduped or rolled up)."""
+    from clonehunter_ray.stages.candidates import _with_part
+
+    ids = ["a", "abcdefgh", "abcdefghi", "f.py:Klass.method_with_a_long_name"]
+    alone = [
+        _with_part(pa.table({"k": [i]}), ["k"], 1 << 20)["part"][0].as_py()
+        for i in ids
+    ]
+    together = _with_part(pa.table({"k": ids}), ["k"], 1 << 20)["part"]
+    chunked = _with_part(
+        pa.table({"k": pa.chunked_array([ids[:1], ids[1:]])}), ["k"], 1 << 20
+    )["part"]
+    assert together.to_pylist() == chunked.to_pylist() == alone
+    assert len(set(alone)) == len(ids)

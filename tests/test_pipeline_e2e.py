@@ -123,14 +123,26 @@ def test_findings_deterministic_across_runs(ray_session, tiny_corpus):
 
 
 def test_pairs_independent_of_index_blocks(ray_session, tiny_corpus):
-    """build_pairs over the tiny corpus's signature table as one block
-    and repartitioned into 7: sids are global ranks of snippet_id
-    whatever the blocks, so the verified pairs and the LSH counters are
-    identical, under the default salted mode and under ``star`` with a
-    cap every multi-member bucket exceeds."""
+    """build_exchange over the tiny corpus's signature table as one
+    block and repartitioned into 7: sids are global ranks of snippet_id
+    whatever the blocks, so the verified pairs, the LSH counters and
+    the findings are identical, under the default salted mode and under
+    ``star`` with a cap every multi-member bucket exceeds; the findings
+    the unit-pair exchange rolls up equal ``build_findings`` over its
+    verified pairs."""
     from clonehunter_ray.config import SignatureConfig
-    from clonehunter_ray.pipelines.scan import build_pairs, build_signatures
+    from clonehunter_ray.pipelines.scan import (
+        build_exchange,
+        build_findings,
+        build_signatures,
+    )
     from clonehunter_ray.state import metrics as M
+
+    def table(ds, *key):
+        # blocks the exchange left empty may carry no schema
+        blocks = ray.get(ds.to_arrow_refs())
+        t = pa.concat_tables([b for b in blocks if b.num_rows])
+        return t.sort_by([(k, "ascending") for k in key])
 
     files, _ = tiny_corpus
     for sig in (
@@ -142,23 +154,60 @@ def test_pairs_independent_of_index_blocks(ray_session, tiny_corpus):
         runs = []
         for blocks in (1, 7):
             metrics, plan = M.new_metrics_actor(), {}
-            pairs = build_pairs(
+            pairs, findings = build_exchange(
                 signatures.repartition(blocks).materialize(), config, metrics, plan
             )
-            table = pa.concat_tables(ray.get(pairs.to_arrow_refs()))
+            pairs = pairs.materialize()
+            lsh = M.read_metrics(metrics)
             runs.append(
                 (
                     plan["index_blocks"],
-                    table.sort_by([("a_id", "ascending"), ("b_id", "ascending")]),
-                    M.read_metrics(metrics),
+                    table(pairs, "a_id", "b_id"),
+                    lsh,
+                    table(findings, "pair_key"),
+                    table(build_findings(pairs, config), "pair_key"),
                 )
             )
-        (one, pairs_1, lsh_1), (many, pairs_7, lsh_7) = runs
+        (one, pairs_1, lsh_1, found_1, rolled_1), (many, pairs_7, lsh_7, *found) = runs
         assert one == 1 < many
         assert pairs_1.num_rows > 0 and pairs_1.equals(pairs_7)
         assert lsh_1 == lsh_7
+        assert found_1.num_rows > 0
+        for t in (rolled_1, *found):
+            assert t.equals(found_1)
         if sig.skew_mode == "star":
             assert lsh_1["lsh_buckets_capped"] > 0
+
+
+def test_streamed_exchange_runs_two_all_to_all(ray_session, tiny_corpus):
+    """After the sid index, the streamed pairs-to-findings dataset runs
+    exactly two all-to-all exchanges, the band exchange and the
+    unit-pair exchange, and no join: the pair dedup and the rollup
+    share the second one."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll,
+    )
+
+    from clonehunter_ray.pipelines.scan import build_exchange, build_signatures
+
+    files, _ = tiny_corpus
+    config = EngineConfig()
+    signatures = build_signatures(ray.data.from_arrow(files), config).materialize()
+    _, findings = build_exchange(signatures, config)
+    ops, todo = [], [findings._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        ops.append(op)
+        todo.extend(op.input_dependencies)
+    names = [type(op).__name__ for op in ops]
+    assert "Join" not in names
+    # the index is materialized: the plan starts at the explode tasks'
+    # blocks, not at a map or sort over the signature table
+    assert [type(op).__name__ for op in ops if not op.input_dependencies] == [
+        "FromArrow"
+    ]
+    shuffles = [type(op).__name__ for op in ops if isinstance(op, AbstractAllToAll)]
+    assert shuffles == ["Sort", "Sort"]
 
 
 def test_push_shuffle_strategy_findings_identical(ray_session, tiny_corpus):

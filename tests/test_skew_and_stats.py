@@ -133,6 +133,14 @@ def test_scan_stats_block(ray_session, tiny_corpus):
     assert stats["checkpoint"] == {
         "signatures": "memory", "pairs": "streamed", "findings": "memory"
     }
+    # streamed: "pairs" times the eager sid-index build, "findings" the
+    # one exchange that dedups, verifies and rolls up
+    assert stats["timing"]["pairs"] > 0
+    assert set(stats["plan"]) == {"signatures", "pairs", "findings", "clustering"}
+    assert stats["plan"]["findings"] == {
+        "partitions": stats["plan"]["pairs"]["partitions"],
+        "exchange": "unit_pair",
+    }
 
 
 def test_html_report_diff_viewer(tmp_path):
