@@ -7,7 +7,8 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       -> map_batches(add_content_sha256)      # per-row invariant
       -> map_batches(extract_units)           # flat-map, stateless
       -> map_batches(generate_snippets)       # flat-map, stateless
-      -> map_batches(signatures_task)         # tasks, per-process stage
+      -> map_batches(signatures_task)         # tasks, per-process stage;
+                                              # kernels once per distinct text
       (read -> signatures run on the stage's own DataContext, whose
        target_max_block_size is SIGNATURE_BLOCK_BYTES; every later
        stage plans on the session's)
@@ -29,6 +30,12 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       [checkpoint: findings]
       -> connected components (driver union-find; distributed loop at scale)
       [checkpoint: clusters]                   # labelled findings
+
+The read -> signatures chain, the sort and the exchanges run on their
+own DataContext copies without Ray Data's per-operator resource
+reservation (``util.with_context``), so every CPU runs each stage;
+the session's context and the datasets ``scan`` returns keep the
+session's settings.
 
 Only ids/hashes/shingle arrays cross the shuffles — raw ``content`` /
 ``text`` columns never enter a wide stage (SURVEY.md §7 "wide rows").
@@ -61,7 +68,7 @@ from clonehunter_ray.stages.signatures import signatures_task
 from clonehunter_ray.stages.snippets import generate_snippets_batch
 from clonehunter_ray.stages.verify import verify_pairs_batch
 from clonehunter_ray.state import checkpoint as ckpt
-from clonehunter_ray.util import with_block_size
+from clonehunter_ray.util import drop_empty_blocks, with_context
 
 # columns each pair side carries into verification, range-taken by
 # sid (token_seq, the ordered token hashes, joins them only when the
@@ -83,12 +90,13 @@ _JOIN_PAYLOAD = [
 
 
 # target_max_block_size of the read -> signatures operator's own
-# DataContext. Until a map operator's first task returns, Ray Data
-# budgets each task's pending output as this size times its 2-block
-# generator buffer, so at the session's 128 MiB a 768 MiB object store
-# let the fused operator start ONE task. The stage's blocks (one per
-# read block) stay well below it (largest 12.3 MB on the 6,000-file
-# benchmark input), so no block splits and every CPU starts at once.
+# DataContext. Ray Data plans the read's block split from it (the
+# expected read-block size over this target, ``set_read_parallelism``),
+# and the stage's blocks are the sid index's sort input: at the
+# session's 128 MiB a 24,000-file read split into twice the blocks (60
+# vs 30) and the index build took 6.7-7.8 s instead of 2.0-2.6 s. The
+# stage's blocks stay well below it (largest 12.3 MB on the 6,000-file
+# benchmark input), so no output block splits.
 SIGNATURE_BLOCK_BYTES = 32 << 20
 
 
@@ -160,9 +168,11 @@ def build_signatures(
 ) -> "ray.data.Dataset":
     """files -> signatures (the narrow half; ``prefix`` reuses an
     already-built (hashed, units, snippets) chain). The result runs on
-    its own DataContext copy (``SIGNATURE_BLOCK_BYTES``); the prefix
-    datasets and the session keep theirs, and ``build_exchange`` (like
-    ``scan``) goes back to the session's value."""
+    its own DataContext copy (``util.with_context``) without
+    per-operator reservation, so the read -> signatures operator starts
+    a task on every CPU, and with ``SIGNATURE_BLOCK_BYTES``; the prefix
+    datasets and the session keep their contexts, and ``scan`` goes
+    back to the session's values."""
     hashed, _units, snippets = prefix or build_prefix(files_ds, config)
     if config.expansion.enabled:
         # EXP call-expansion snippets (per-repo-local groupby; off by
@@ -183,14 +193,17 @@ def build_signatures(
         batch_size=config.exec.file_batch_size,
         batch_format="pyarrow",
     )
-    return with_block_size(signatures, SIGNATURE_BLOCK_BYTES)
+    return with_context(
+        signatures, reservation=False, block_bytes=SIGNATURE_BLOCK_BYTES
+    )
 
 
 def _sid_index(signatures: "ray.data.Dataset", cols: list[str], strategy) -> tuple:
     """The sid-range index: each non-empty signature block narrowed to
     ``cols`` plus ``unit_key`` by one plain task
     (``candidates.narrow_block``), sorted by ``snippet_id`` on
-    ``strategy`` and materialized (``candidates.sid_index``)."""
+    ``strategy`` without per-operator reservation and materialized
+    (``candidates.sid_index``)."""
     narrow = ray.remote(narrow_block)
     refs = [
         narrow.remote(ref, cols)
@@ -200,6 +213,7 @@ def _sid_index(signatures: "ray.data.Dataset", cols: list[str], strategy) -> tup
     ]
     narrowed = ray.data.from_arrow_refs(refs)
     narrowed.context.shuffle_strategy = strategy
+    narrowed.context.op_resource_reservation_enabled = False
     return sid_index(narrowed.sort("snippet_id").materialize())
 
 
@@ -267,8 +281,9 @@ def build_exchange(
 ) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
     """signatures -> (verified pairs, findings), the wide half, one
     pipeline for every corpus size. Both datasets are lazy views of one
-    exchange; the findings view reports the verified-pair count to
-    ``metrics``.
+    exchange, run on their own DataContext (the shuffle strategy, no
+    per-operator reservation); the findings view reports the
+    verified-pair count to ``metrics``.
 
     A sid is the global rank of ``snippet_id``. The signature table,
     narrowed to the ids, band keys and payload plus a per-sid
@@ -289,9 +304,6 @@ def build_exchange(
     sig = config.signature
     substring = config.substring.enabled
     payload_cols = _JOIN_PAYLOAD + (["token_seq"] if substring else [])
-    # plan on the session's block size, whatever context the
-    # signatures were built on (build_signatures scopes its own)
-    signatures = with_block_size(signatures)
     n_sigs = signatures.count()
     band_rows = n_sigs * sig.num_bands
     strategy = _shuffle_strategy(config, band_rows)
@@ -334,6 +346,7 @@ def build_exchange(
         ]
     )
     packed.context.shuffle_strategy = strategy
+    packed.context.op_resource_reservation_enabled = False
     # the size/kind gate runs BEFORE the pair dedup: a clone pair
     # collides in ~12 bands (measured dup factor 11.7x at 20k files),
     # and the gate's verdict is identical for every duplicate — gating
@@ -464,17 +477,18 @@ def scan(
         ),
         root, "signatures", fp, ckpt_stats,
     )
-    # the stage's block size stops here: res.signatures and all that is
-    # built on it plan on the session's. Its block count is known when
+    # the stage's context stops here: res.signatures and all that is
+    # built on it run on the session's. Its block count is known when
     # the stage is held in the object store; a checkpoint's read-back
     # blocks follow its parquet files instead.
     signatures_plan = {
         "target_max_block_size": SIGNATURE_BLOCK_BYTES,
+        "op_resource_reservation_enabled": False,
         "blocks": signatures.num_blocks()
         if ckpt_stats["signatures"] == "memory"
         else None,
     }
-    signatures = with_block_size(signatures)
+    signatures = with_context(signatures)
     timing["signatures"] = round(time.monotonic() - t0, 3)
     if _log:
         log_stage("Build signatures", timing["signatures"])
@@ -517,6 +531,10 @@ def scan(
     findings = ckpt.checkpoint_or_compute(
         make_findings, root, "findings", fp, ckpt_stats
     )
+    if ckpt_stats["findings"] == "memory":
+        # the exchange's empty partitions are zero-column blocks; the
+        # findings handed out (and labelled below) hold typed ones only
+        findings = drop_empty_blocks(findings)
     timing["findings"] = round(time.monotonic() - t0, 3)
     if _log:
         log_stage("Rollup findings", timing["findings"])
@@ -638,13 +656,15 @@ def scan(
         | ({"clustering": clustering} if clustering else {}),
     }
 
+    # like res.signatures, the exchange's views go back to the
+    # session's values
     return ScanResult(
         files=hashed,
         units=units,
         snippets=snippets,
         signatures=signatures,
-        pairs=pairs,
-        findings=findings,
+        pairs=with_context(pairs),
+        findings=with_context(findings),
         cluster_map=cluster_map,
         stats=stats,
         metrics_actor=metrics_handle,

@@ -6,6 +6,9 @@ Semantics mirror the reference exactly:
   slicing source lines lineno..end_lineno; parse errors swallow to zero
   units (reference parsing/python_ast.py:24-67). The walk visits
   statement lists only, since a def can sit nowhere else.
+* each python unit also carries ``func_text``, its FUNC snippet text,
+  equal to ``snippets.normalize_source(code)`` but taken from the
+  file's AST instead of a second parse (see ``_func_text``).
 * everything else: the whole file as a single pseudo-unit named after
   the file basename, span 1..n_lines; blank files dropped (reference
   parsing/text_units.py:9-27).
@@ -20,10 +23,12 @@ from __future__ import annotations
 
 import ast
 import posixpath
+import re
 
 import pyarrow as pa
 
 from clonehunter_ray.functions.hashing import sha256_hex
+from clonehunter_ray.stages.snippets import strip_docstring_nodes, strip_docstrings
 
 UNITS_SCHEMA = pa.schema(
     [
@@ -37,6 +42,8 @@ UNITS_SCHEMA = pa.schema(
         ("end_line", pa.int32()),
         ("code", pa.string()),
         ("code_hash", pa.string()),
+        # normalize_source(code) for python units, null for text units
+        ("func_text", pa.string()),
     ]
 )
 
@@ -59,6 +66,29 @@ def detect_language(path: str, lang: str | None) -> str:
 _STMT_LIST_FIELDS = frozenset(("body", "orelse", "finalbody", "handlers", "cases"))
 # node class -> its statement-list fields, in ``_fields`` order
 _WALK_FIELDS: dict[type, tuple[str, ...]] = {}
+# line breaks of str.splitlines that the parser does not break on: with
+# one in the file, a unit's code lines are not its AST node's lines
+_SPLIT_ONLY_BREAKS = re.compile("[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _func_text(node: ast.AST, code: str) -> str:
+    """``normalize_source(code)`` for the def ``node`` whose source
+    lines are ``code``, without parsing ``code`` again.
+
+    An indented def's code opens with an indent, so its parse raises
+    "unexpected indent" and the text is the code verbatim. A def at
+    column 0 parses to the same tree as the file's node minus its
+    decorators (they sit above ``lineno``), so the text is that node,
+    docstrings stripped, unparsed. A trailing backslash would join the
+    code's last line to the next one in the file and not in the code,
+    so that code goes through the parse. Strips ``node``'s docstrings
+    and decorators in place; the unit walk reads neither."""
+    if node.col_offset:
+        return code
+    if code.endswith("\\"):
+        return strip_docstrings(code)
+    node.decorator_list = []
+    return ast.unparse(strip_docstring_nodes(node))
 
 
 def extract_python_units(path: str, source: str) -> list[dict]:
@@ -68,12 +98,15 @@ def extract_python_units(path: str, source: str) -> list[dict]:
     in ``_fields`` order), which yields the same units in the same
     order as the reference's walk over every child node at half the
     cost (tests/test_extract_snippets.py keeps that walk as the
-    oracle)."""
+    oracle). Each unit's ``func_text`` comes from the same tree
+    (``_func_text``), unless the file holds a line break that only
+    ``str.splitlines`` splits on, where it is ``strip_docstrings(code)``."""
     try:
         tree = ast.parse(source, filename=path)
     except (SyntaxError, ValueError):
         return []
     lines = source.splitlines()
+    exact = not _SPLIT_ONLY_BREAKS.search(source)
     out: list[dict] = []
     stack: list[str] = []
 
@@ -96,6 +129,9 @@ def extract_python_units(path: str, source: str) -> list[dict]:
                             "start_line": start,
                             "end_line": end,
                             "code": code,
+                            "func_text": _func_text(child, code)
+                            if exact
+                            else strip_docstrings(code),
                         }
                     )
                     stack.append(child.name)
@@ -158,6 +194,7 @@ def extract_units_batch(batch: pa.Table) -> pa.Table:
             cols["end_line"].append(u["end_line"])
             cols["code"].append(u["code"])
             cols["code_hash"].append(sha256_hex(u["code"]))
+            cols["func_text"].append(u.get("func_text"))
     return pa.Table.from_pydict(cols, schema=UNITS_SCHEMA)
 
 

@@ -14,12 +14,16 @@ the frozen config and the emit argument (``util.cached_stage``). Ray
 reuses task workers, so ``SignatureStage`` is built once per worker
 process, every CPU runs the fused read->signatures chain, and no actor
 pool holds CPU slots the read tasks need. The scan runs that chain on
-the stage's own Ray Data context, whose ``target_max_block_size``
-(``pipelines/scan.SIGNATURE_BLOCK_BYTES``, 32 MiB) sits near the
-stage's real blocks: at the session's 128 MiB, Ray's estimate of a
-first task's pending output let the operator start a single task.
-Each ``__call__`` vectorizes over the whole Arrow batch; SimHash counts
-bits from per-byte histograms (``hashing.simhash_from_flat``).
+the stage's own Ray Data context (``util.with_context``) without
+per-operator resource reservation, with which Ray let the operator run
+a single task until that task returned its first output, and with
+``pipelines/scan.SIGNATURE_BLOCK_BYTES`` (32 MiB), from which Ray plans
+the read's block split and so the stage's block count.
+Each ``__call__`` runs the kernels once per distinct text of the batch
+(a short function's FUNC text is also its one WIN window, and clone
+families repeat windows) and takes every row back by its dictionary
+index; the kernels vectorize over the whole Arrow batch, and SimHash
+counts bits from per-byte histograms (``hashing.simhash_from_flat``).
 
 Output columns (FIXTURES.md §3 `signatures`, plus carried snippet meta
 so downstream stages never re-join against raw text):
@@ -108,12 +112,29 @@ class SignatureStage:
         self.emit_token_seq = emit_token_seq
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
+        # the kernels run on the batch's dictionary of distinct texts;
+        # each row takes its columns back by its dictionary index
+        text = batch["text"]
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
+        encoded = text.dictionary_encode(null_encoding="encode")
+        rows = encoded.indices
+        cols: dict[str, pa.Array] = {}
+        for name in SIGNATURE_META_COLS:
+            if name in batch.column_names:
+                cols[name] = batch[name]
+        for name, col in self._sign(encoded.dictionary).items():
+            cols[name] = col.take(rows)
+        return pa.table(cols)
+
+    def _sign(self, texts: pa.Array) -> dict[str, pa.Array]:
+        """The signature columns of ``texts``, one row per text."""
+        n = len(texts)
         # flat batch kernels: one lexsort/reduceat over the whole batch
         # instead of per-row np.unique / (n x 64) expansions — outputs
         # bit-identical to the per-row forms (pinned by
         # tests/test_hashing.py parity tests)
-        flat_tok, tok_lens = H.tokenize_hash_flat(batch["text"])
+        flat_tok, tok_lens = H.tokenize_hash_flat(texts)
         flat_sh, sh_counts = H.batch_shingle_sets(
             flat_tok, tok_lens, self.config.shingle_k
         )
@@ -125,15 +146,13 @@ class SignatureStage:
         )
         simhashes = H.simhash_from_flat(flat_sh, sh_counts)
 
-        cols: dict[str, pa.Array] = {}
-        for name in SIGNATURE_META_COLS:
-            if name in batch.column_names:
-                cols[name] = batch[name]
         # binary-encoded sorted uint64 sets (little-endian) — list types
         # can't ride through Acero hash joins as payload, and the blob
         # form is also the compact wire format for the verify shuffle
-        cols["shingles"] = _binary_from_flat_u64(flat_sh, sh_counts)
-        cols["tokens"] = _binary_from_flat_u64(flat_tset, tset_counts)
+        cols = {
+            "shingles": _binary_from_flat_u64(flat_sh, sh_counts),
+            "tokens": _binary_from_flat_u64(flat_tset, tset_counts),
+        }
         if self.emit_token_seq:
             cols["token_seq"] = _binary_from_flat_u64(flat_tok, tok_lens)
         cols["minhash"] = _list_from_matrix_u64(sigs)
@@ -145,7 +164,7 @@ class SignatureStage:
         cols["n_tokens"] = pa.array(
             tset_counts.astype(np.int32), pa.int32()
         )
-        return pa.table(cols)
+        return cols
 
 
 def signatures_task(

@@ -17,6 +17,14 @@ Reference semantics reproduced:
 * FUNC snippets are generated for python units only; WIN windows for
   every unit (reference core/pipeline.py:143-165).
 
+Each text is parsed at most once: the FUNC text is the unit's
+``func_text``, which ``stages/extract`` normalized from the file's AST
+(``strip_docstring_nodes``), a window spanning the whole unit reuses
+it, and a window that opens with an indented token is verbatim without
+a parse (its parse always raises "unexpected indent").
+``normalize_source`` stays the definition of every text
+(tests/test_extract_snippets.py compares against it).
+
 Engine shape: stateless flat-map, ``map_batches(generate_snippets_batch,
 batch_format="pyarrow")`` — 1 unit row -> 1 FUNC row + K WIN rows.
 """
@@ -24,6 +32,7 @@ batch_format="pyarrow")`` — 1 unit row -> 1 FUNC row + K WIN rows.
 from __future__ import annotations
 
 import ast
+import re
 
 import pyarrow as pa
 
@@ -47,22 +56,17 @@ SNIPPETS_SCHEMA = pa.schema(
 )
 
 
-def strip_docstrings(source: str) -> str:
-    """Docstring-strip + format normalization via AST round-trip
-    (reference snippets/normalization.py:6-31 semantics).
+def strip_docstring_nodes(root: ast.AST) -> ast.AST:
+    """``root`` with ``strip_docstrings``' rule applied to its subtree in
+    place: the leading string-constant statement of every Module /
+    FunctionDef / AsyncFunctionDef body becomes ``pass``.
 
-    Hot path of the snippet stage: traverses STATEMENT lists only
-    (function defs can never live inside an expression), instead of
-    ``ast.walk`` visiting every expression node, and copies the
-    replaced docstring's location onto the inserted ``Pass`` instead
-    of a whole-tree ``fix_missing_locations`` pass — measured 2.6x on
-    the per-snippet normalize (the scan's single hottest kernel)."""
-    try:
-        tree = ast.parse(source)
-    except (SyntaxError, ValueError):
-        return source
-
-    stack: list[ast.AST] = [tree]
+    Traverses STATEMENT lists only (function defs can never live inside
+    an expression), instead of ``ast.walk`` visiting every expression
+    node, and copies the replaced docstring's location onto the
+    inserted ``Pass`` instead of a whole-tree ``fix_missing_locations``
+    pass — measured 2.6x on the per-snippet normalize."""
+    stack: list[ast.AST] = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -82,7 +86,18 @@ def strip_docstrings(source: str) -> str:
         cases = getattr(node, "cases", None)  # match statements
         if cases:
             stack.extend(cases)
-    return ast.unparse(tree)
+    return root
+
+
+def strip_docstrings(source: str) -> str:
+    """Docstring-strip + format normalization via AST round-trip
+    (reference snippets/normalization.py:6-31 semantics); unparseable
+    text is returned verbatim."""
+    try:
+        tree = ast.parse(source)
+    except (SyntaxError, ValueError):
+        return source
+    return ast.unparse(strip_docstring_nodes(tree))
 
 
 # per-process memo: clone-heavy corpora repeat snippet texts verbatim,
@@ -102,8 +117,22 @@ def normalize_source(source: str) -> str:
     return out
 
 
+# text that opens with an indent and then a token: its first token is
+# INDENT, so ``ast.parse`` raises "unexpected indent" and
+# ``normalize_source`` returns it verbatim. A comment or a line end
+# after the indent does not count toward indentation, ``\f`` resets the
+# indent column and a backslash joins lines, so those go to the parse.
+_INDENTED_TOKEN = re.compile(r"[ \t]+[^ \t#\\\f\r\n]")
+
+
 def generate_snippets_batch(batch: pa.Table, window: WindowConfig) -> pa.Table:
-    """units batch -> snippets batch (FUNC for python + WIN for all)."""
+    """units batch -> snippets batch (FUNC for python + WIN for all).
+
+    Each text is normalized once: a unit's FUNC text is its
+    ``func_text`` (``extract_python_units`` normalized it from the
+    file's AST; ``normalize_source(code)`` when the column is absent),
+    which a WIN window spanning the whole unit reuses, and a window
+    that opens with an indented token is verbatim without a parse."""
     window.validate()
     cols: dict[str, list] = {name: [] for name in SNIPPETS_SCHEMA.names}
 
@@ -124,10 +153,13 @@ def generate_snippets_batch(batch: pa.Table, window: WindowConfig) -> pa.Table:
         code = row["code"]
         fn_start, fn_end = row["start_line"], row["end_line"]
         path, code_hash = row["path"], row["code_hash"]
+        func_text = row.get("func_text")
         if row["lang"] == "python":
             # FUNC snippet (reference generators.py:34-50)
+            if func_text is None:
+                func_text = normalize_source(code)
             sid = sha256_hex(f"FUNC:{path}:{fn_start}:{fn_end}:{code_hash}")
-            emit("FUNC", sid, row, fn_start, fn_end, normalize_source(code))
+            emit("FUNC", sid, row, fn_start, fn_end, func_text)
         # WIN windows (reference generators.py:53-74)
         lines = code.splitlines()
         if not lines:
@@ -140,7 +172,12 @@ def generate_snippets_batch(batch: pa.Table, window: WindowConfig) -> pa.Table:
             nonempty = sum(1 for line in window_lines if line.strip())
             if nonempty >= window.min_nonempty:
                 snippet_text = "\n".join(window_lines)
-                normalized = normalize_source(snippet_text)
+                if func_text is not None and snippet_text == code:
+                    normalized = func_text
+                elif _INDENTED_TOKEN.match(snippet_text):
+                    normalized = snippet_text
+                else:
+                    normalized = normalize_source(snippet_text)
                 sid = sha256_hex(
                     f"WIN:{path}:{fn_start}:{fn_end}:{code_hash}:{start}:{end}:{normalized}"
                 )

@@ -9,6 +9,7 @@ import os
 import shutil
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from clonehunter_ray.config import EngineConfig
@@ -319,46 +320,66 @@ def test_partitioned_output_jsonl_float16_and_nested_nan(ray_session, tmp_path):
 def test_scan_plan_records_clustering(ray_session, tmp_path):
     """stats["plan"] records the connected-components decision (path,
     edge count, rounds), the pair-attach decision (path, snippets,
-    bytes, pair-id prune) and the signature stage's own block size and
-    block count in streamed mode, in a checkpointed run, and in a
-    resume that hits the pairs and clusters stages. That block size
-    stays on the stage: after scan() the session's context and every
-    dataset built on res.signatures keep the session's."""
+    bytes, pair-id prune) and the signature stage's own block size,
+    reservation setting and block count in streamed mode, in a
+    checkpointed run, and in a resume that hits the pairs and clusters
+    stages. The stage datasets run without per-operator reservation
+    (the signature stage also on its own block size), and that stays on
+    them: after scan() the session's context and every dataset scan()
+    returns or that is built on res.signatures keep the session's
+    reservation setting and block size."""
     from ray.data import DataContext
 
     from clonehunter_ray.pipelines.scan import (
         SIGNATURE_BLOCK_BYTES,
+        build_exchange,
         build_signatures,
     )
 
-    session = DataContext.get_current().target_max_block_size
-    assert session != SIGNATURE_BLOCK_BYTES
+    def values(context) -> tuple:
+        return (
+            context.op_resource_reservation_enabled,
+            context.target_max_block_size,
+        )
+
+    def scope(ds) -> tuple:
+        return values(ds.context)
+
+    session = values(DataContext.get_current())
+    assert session[0] and session[1] != SIGNATURE_BLOCK_BYTES
     files, _ = generate_corpus(60, 7)
     files_ds = ray.data.from_arrow(files)
     sigs = build_signatures(files_ds, EngineConfig())
-    assert sigs.context.target_max_block_size == SIGNATURE_BLOCK_BYTES
-    assert files_ds.context.target_max_block_size == session
+    assert scope(sigs) == (False, SIGNATURE_BLOCK_BYTES)
+    views = build_exchange(sigs.materialize(), EngineConfig())
+    assert [scope(d) for d in views] == [(False, session[1])] * 2
+    assert scope(files_ds) == session
     root = str(tmp_path / "ck")
     results = [scan(ray.data.from_arrow(files), EngineConfig())]
     results += [_scan(files, root)[0] for _ in range(2)]
     for res in results:
         built = [
+            res.files,
+            res.units,
+            res.snippets,
             res.signatures,
             res.signatures.select_columns(["snippet_id"]),
             res.signatures.map_batches(lambda t: t, batch_format="pyarrow"),
             res.pairs,
             res.findings,
         ]
-        assert [d.context.target_max_block_size for d in built] == [session] * 5
-    assert DataContext.get_current().target_max_block_size == session
+        assert [scope(d) for d in built] == [session] * len(built)
+    assert values(DataContext.get_current()) == session
     streamed, missed, resumed = (res.stats for res in results)
     assert streamed["plan"]["signatures"] == {
         "target_max_block_size": SIGNATURE_BLOCK_BYTES,
+        "op_resource_reservation_enabled": False,
         "blocks": results[0].signatures.num_blocks(),
     }
     for stats in (missed, resumed):
         assert stats["plan"]["signatures"] == {
             "target_max_block_size": SIGNATURE_BLOCK_BYTES,
+            "op_resource_reservation_enabled": False,
             "blocks": None,
         }
     assert missed["checkpoint"]["clusters"] == "miss"
@@ -393,10 +414,29 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
 
 
 def _sorted_findings(res) -> pa.Table:
-    # blocks the exchange left empty may carry no schema
-    blocks = ray.get(res.findings.to_arrow_refs())
-    table = pa.concat_tables([b for b in blocks if b.num_rows])
+    table = pa.concat_tables(ray.get(res.findings.to_arrow_refs()))
     return table.sort_by([("pair_key", "ascending")])
+
+
+@pytest.mark.parametrize("cluster", [True, False])
+def test_findings_blocks_concatenate(ray_session, cluster):
+    """scan() hands out findings blocks of one schema: the exchange's
+    empty partitions (zero-column blocks) are dropped from the
+    materialized findings, so a consumer concatenates the blocks as
+    they come, on every seed and with or without the cluster labels."""
+    from clonehunter_ray.config import ClusterConfig
+    from clonehunter_ray.stages.rollup import FINDINGS_SCHEMA
+
+    config = EngineConfig(cluster=ClusterConfig(enabled=cluster))
+    schema = FINDINGS_SCHEMA
+    if cluster:
+        schema = schema.append(pa.field("cluster_id", pa.int64()))
+    for seed in (42, 1, 2, 3):
+        files, _ = generate_corpus(200, seed)
+        res = scan(ray.data.from_arrow(files), config)
+        table = pa.concat_tables(ray.get(res.findings.to_arrow_refs()))
+        assert table.schema == schema, seed
+        assert table.num_rows == res.stats["counts"]["findings"] > 0, seed
 
 
 def test_findings_equal_streamed_checkpointed_and_resumed(

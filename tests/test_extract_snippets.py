@@ -169,7 +169,8 @@ if __name__ == "__main__":
 def _reference_units(path: str, source: str) -> list[dict]:
     """The reference's walk (parsing/python_ast.py:24-67): every child
     of every node, expressions included — the oracle for
-    extract_python_units' statement-only walk."""
+    extract_python_units' statement-only walk; ``func_text`` is
+    ``normalize_source(code)``, the FUNC text's oracle."""
     import ast
 
     try:
@@ -185,12 +186,14 @@ def _reference_units(path: str, source: str) -> list[dict]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 start = child.lineno
                 end = child.end_lineno
+                code = "\n".join(lines[start - 1 : end])
                 out.append(
                     {
                         "qualified_name": ".".join([*stack, child.name]),
                         "start_line": start,
                         "end_line": end,
-                        "code": "\n".join(lines[start - 1 : end]),
+                        "code": code,
+                        "func_text": normalize_source(code),
                     }
                 )
                 stack.append(child.name)
@@ -369,3 +372,123 @@ def test_window_line_numbers_offset_by_function_start():
     # snippet lines are file-absolute (reference generators.py:26-27)
     assert snips["start_line"][0].as_py() == 100
     assert snips["end_line"][0].as_py() == 111
+
+
+# top-level chunks of Python for the FUNC/WIN text oracle: decorated,
+# async and nested defs, methods, class and nested docstrings,
+# match/case, try/except*, tabs, continuation lines, and string
+# bodies whose lines open windows with an indented comment, an indented
+# token or a line at column 0
+_FUZZ_PARTS = [
+    '@decorator\n@other(1, k="v")\ndef decorated(a, b=2):\n'
+    '    """doc"""\n    return a + b\n',
+    'async def coro(x):\n    """doc"""\n    async with x as y:\n'
+    "        await y\n    return [i async for i in x]\n",
+    'def outer():\n    """outer doc"""\n    def inner():\n        "inner doc"\n'
+    '        return 1\n    class Local:\n        """class doc stays"""\n'
+    '        def m(self):\n            """method doc"""\n            return 2\n'
+    "    return inner\n",
+    'class Box:\n    """class doc"""\n\n    @staticmethod\n    def method(x):\n'
+    '        """m doc"""\n        return x\n\n    async def amethod(self):\n'
+    "        return 3\n",
+    "def matcher(cmd):\n    match cmd:\n        case [x, y]:\n"
+    '            """not a docstring"""\n            return x\n'
+    '        case {"k": v}:\n            def in_case():\n'
+    '                "case doc"\n                return v\n'
+    "            return in_case\n        case _:\n            return None\n",
+    "def trier():\n    try:\n        pass\n    except* ValueError:\n"
+    '        def handler():\n            """h doc"""\n            return 1\n'
+    "    return 0\n",
+    'def tabbed(x):\n\t"""tab doc"""\n\tif x:\n\t\treturn 1\n\treturn 2\n',
+    'def stringy():\n    s = """\n    # looks like a comment\nx = 1\ny = 2\n'
+    '"""\n    t = """\n\n    \nz = 3\n        indented = 1\n"""\n    return s + t\n',
+    "def cont(a,\n         b):\n    return a + \\\n        b\n",
+    "def trailing():\n    return 1 \\\n\nafter = 2\n",
+    "def commented():\n    # a comment\n\n    x = 1  # trailing\n    return x\n",
+    "def one_liner(): return 1\n",
+    "@property\ndef prop(self): return self._p\n",
+    "x = [1,\n     2]\n",
+]
+_FUZZ_SEPARATORS = ["\n", "\n\n", "# comment\n", "\x0c\n"]
+
+
+def _fuzz_files(n: int, seed: int) -> pa.Table:
+    """``n`` files of randomly chosen parts and separators, with LF or
+    CRLF line ends; every fourth one is a text file, whose windows are
+    normalized as Python too."""
+    import random
+
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        parts = rng.sample(_FUZZ_PARTS, rng.randint(1, 5))
+        seps = [rng.choice(_FUZZ_SEPARATORS) for _ in parts]
+        src = "".join(p + s for p, s in zip(parts, seps))
+        if rng.random() < 0.3:
+            src = src.replace("\n", "\r\n")
+        text = i % 4 == 3
+        rows.append(
+            {
+                "path": f"f{i}.txt" if text else f"f{i}.py",
+                "lang": "text" if text else "python",
+                "content": src,
+            }
+        )
+    return _files_batch(rows)
+
+
+def _assert_texts_match_oracle(files: pa.Table, window: WindowConfig) -> dict:
+    """Every FUNC and WIN text equals ``normalize_source`` of its code
+    (the units' ``func_text`` too); returns how many snippets took each
+    path."""
+    import ast
+
+    units = extract_units_batch(files)
+    codes = dict(zip(units["unit_id"].to_pylist(), units["code"].to_pylist()))
+    for code, func_text, lang in zip(
+        units["code"].to_pylist(),
+        units["func_text"].to_pylist(),
+        units["lang"].to_pylist(),
+    ):
+        assert func_text == (normalize_source(code) if lang == "python" else None)
+    seen = {"FUNC": 0, "WIN": 0, "verbatim": 0, "indented_parsed": 0}
+    for row in generate_snippets_batch(units, window).to_pylist():
+        code = codes[row["unit_id"]]
+        if row["kind"] == "FUNC":
+            text = code
+        else:
+            lo = row["start_line"] - row["unit_start"]
+            text = "\n".join(
+                code.splitlines()[lo : row["end_line"] - row["unit_start"] + 1]
+            )
+        assert row["text"] == normalize_source(text), (row["unit_id"], text)
+        seen[row["kind"]] += 1
+        seen["verbatim"] += row["text"] == text
+        if text[:1] in (" ", "\t"):
+            try:
+                ast.parse(text)
+                seen["indented_parsed"] += 1
+            except SyntaxError:
+                pass
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_func_and_win_text_equal_normalize_source_on_fuzzed_files(seed):
+    """FUNC text comes from the file's AST and a window that opens with
+    an indented token skips its parse; both must stay equal to the
+    parse-and-unparse oracle ``normalize_source``, including decorated
+    defs (decorators are not FUNC text), methods (verbatim), tabs, CRLF,
+    form feeds and windows that open with a comment or blank line."""
+    files = _fuzz_files(40, seed)
+    for window in (WindowConfig(), WindowConfig(3, 1, 1)):
+        seen = _assert_texts_match_oracle(files, window)
+        assert seen["FUNC"] > 0 and seen["WIN"] > 0 and seen["verbatim"] > 0
+    # the fuzzed windows include indented openers that parse
+    assert seen["indented_parsed"] > 0
+
+
+def test_func_and_win_text_equal_normalize_source_on_corpus(tiny_corpus):
+    files, _ = tiny_corpus
+    seen = _assert_texts_match_oracle(files, WindowConfig())
+    assert seen["FUNC"] > 0 and seen["WIN"] > 0

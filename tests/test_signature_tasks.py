@@ -61,6 +61,34 @@ def test_signatures_task_cache_keys_on_config():
     assert no_seq.equals(fresh[0].drop(["token_seq"]))
 
 
+@pytest.mark.parametrize("emit_token_seq", [False, True])
+def test_sign_once_equals_per_row_stage(emit_token_seq):
+    """``SignatureStage`` runs its kernels once per distinct text and
+    takes each row back by its dictionary index: on a two-chunk batch
+    with repeated, empty and None texts, every column equals the stage
+    run on each row alone."""
+    from clonehunter_ray.stages.signatures import SignatureStage
+
+    texts = [_TEXTS[i] for i in (0, 1, 2, 0, 4, 2, 3, 1, 4, 0, 3)]
+    batch = pa.table(
+        {
+            "snippet_id": pa.array([f"s{i}" for i in range(len(texts))]),
+            "kind": pa.array(["FUNC", "WIN"] * 5 + ["WIN"]),
+            "text": pa.array(texts, pa.string()),
+        }
+    )
+    batch = pa.concat_tables([batch.slice(0, 4), batch.slice(4)])
+    assert batch["text"].num_chunks == 2
+    stage = SignatureStage(SignatureConfig(), emit_token_seq)
+    want = pa.concat_tables(
+        [stage(batch.slice(i, 1)) for i in range(batch.num_rows)]
+    )
+    got = stage(batch)
+    assert got.schema == want.schema
+    assert got.equals(want)
+    assert ("token_seq" in got.column_names) == emit_token_seq
+
+
 def test_doc_signatures_task_cache_keys_on_config_and_emit():
     from clonehunter_ray.pipelines.dedup import (
         DocSignatureStage,
