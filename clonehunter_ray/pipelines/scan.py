@@ -9,9 +9,6 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
       -> map_batches(generate_snippets)       # flat-map, stateless
       -> map_batches(signatures_task)         # tasks, per-process stage;
                                               # kernels once per distinct text
-      (read -> signatures run on the stage's own DataContext, whose
-       target_max_block_size is SIGNATURE_BLOCK_BYTES; every later
-       stage plans on the session's)
       [checkpoint: signatures]
       -> one task per signature block: narrow_block
                                               # ids, band keys, payload, unit_key
@@ -33,7 +30,7 @@ sequential in-memory pipeline, core/pipeline.py:91-255):
 
 The read -> signatures chain, the sort and the exchanges run on their
 own DataContext copies without Ray Data's per-operator resource
-reservation (``util.with_context``), so every CPU runs each stage;
+reservation (``util.with_reservation``), so every CPU runs each stage;
 the session's context and the datasets ``scan`` returns keep the
 session's settings.
 
@@ -68,7 +65,7 @@ from clonehunter_ray.stages.signatures import signatures_task
 from clonehunter_ray.stages.snippets import generate_snippets_batch
 from clonehunter_ray.stages.verify import verify_pairs_batch
 from clonehunter_ray.state import checkpoint as ckpt
-from clonehunter_ray.util import drop_empty_blocks, with_context
+from clonehunter_ray.util import with_reservation
 
 # columns each pair side carries into verification, range-taken by
 # sid (token_seq, the ordered token hashes, joins them only when the
@@ -87,17 +84,6 @@ _JOIN_PAYLOAD = [
     "n_shingles",
     "n_tokens",
 ]
-
-
-# target_max_block_size of the read -> signatures operator's own
-# DataContext. Ray Data plans the read's block split from it (the
-# expected read-block size over this target, ``set_read_parallelism``),
-# and the stage's blocks are the sid index's sort input: at the
-# session's 128 MiB a 24,000-file read split into twice the blocks (60
-# vs 30) and the index build took 6.7-7.8 s instead of 2.0-2.6 s. The
-# stage's blocks stay well below it (largest 12.3 MB on the 6,000-file
-# benchmark input), so no output block splits.
-SIGNATURE_BLOCK_BYTES = 32 << 20
 
 
 def _shuffle_strategy(config: EngineConfig, band_rows: int):
@@ -168,11 +154,10 @@ def build_signatures(
 ) -> "ray.data.Dataset":
     """files -> signatures (the narrow half; ``prefix`` reuses an
     already-built (hashed, units, snippets) chain). The result runs on
-    its own DataContext copy (``util.with_context``) without
+    its own DataContext copy (``util.with_reservation``) without
     per-operator reservation, so the read -> signatures operator starts
-    a task on every CPU, and with ``SIGNATURE_BLOCK_BYTES``; the prefix
-    datasets and the session keep their contexts, and ``scan`` goes
-    back to the session's values."""
+    a task on every CPU; the prefix datasets and the session keep their
+    contexts, and ``scan`` goes back to the session's value."""
     hashed, _units, snippets = prefix or build_prefix(files_ds, config)
     if config.expansion.enabled:
         # EXP call-expansion snippets (per-repo-local groupby; off by
@@ -193,9 +178,7 @@ def build_signatures(
         batch_size=config.exec.file_batch_size,
         batch_format="pyarrow",
     )
-    return with_context(
-        signatures, reservation=False, block_bytes=SIGNATURE_BLOCK_BYTES
-    )
+    return with_reservation(signatures, False)
 
 
 def _sid_index(signatures: "ray.data.Dataset", cols: list[str], strategy) -> tuple:
@@ -211,9 +194,8 @@ def _sid_index(signatures: "ray.data.Dataset", cols: list[str], strategy) -> tup
         for ref, meta in bundle.blocks
         if meta.num_rows
     ]
-    narrowed = ray.data.from_arrow_refs(refs)
+    narrowed = with_reservation(ray.data.from_arrow_refs(refs), False)
     narrowed.context.shuffle_strategy = strategy
-    narrowed.context.op_resource_reservation_enabled = False
     return sid_index(narrowed.sort("snippet_id").materialize())
 
 
@@ -339,14 +321,16 @@ def build_exchange(
     # thousands of fat rows instead of millions of 12-byte rows (see
     # candidates.explode_bands_packed)
     explode = ray.remote(explode_bands_packed)
-    packed = ray.data.from_arrow_refs(
-        [
-            explode.remote(block, int(start), nparts)
-            for block, start in zip(blocks, starts)
-        ]
+    packed = with_reservation(
+        ray.data.from_arrow_refs(
+            [
+                explode.remote(block, int(start), nparts)
+                for block, start in zip(blocks, starts)
+            ]
+        ),
+        False,
     )
     packed.context.shuffle_strategy = strategy
-    packed.context.op_resource_reservation_enabled = False
     # the size/kind gate runs BEFORE the pair dedup: a clone pair
     # collides in ~12 bands (measured dup factor 11.7x at 20k files),
     # and the gate's verdict is identical for every duplicate — gating
@@ -482,13 +466,11 @@ def scan(
     # the stage is held in the object store; a checkpoint's read-back
     # blocks follow its parquet files instead.
     signatures_plan = {
-        "target_max_block_size": SIGNATURE_BLOCK_BYTES,
-        "op_resource_reservation_enabled": False,
         "blocks": signatures.num_blocks()
         if ckpt_stats["signatures"] == "memory"
         else None,
     }
-    signatures = with_context(signatures)
+    signatures = with_reservation(signatures)
     timing["signatures"] = round(time.monotonic() - t0, 3)
     if _log:
         log_stage("Build signatures", timing["signatures"])
@@ -533,8 +515,16 @@ def scan(
     )
     if ckpt_stats["findings"] == "memory":
         # the exchange's empty partitions are zero-column blocks; the
-        # findings handed out (and labelled below) hold typed ones only
-        findings = drop_empty_blocks(findings)
+        # findings handed out (and labelled below) hold typed ones only,
+        # chosen by block metadata, on the session's context
+        findings = ray.data.from_arrow_refs(
+            [
+                ref
+                for bundle in findings.iter_internal_ref_bundles()
+                for ref, meta in bundle.blocks
+                if meta.num_rows
+            ]
+        )
     timing["findings"] = round(time.monotonic() - t0, 3)
     if _log:
         log_stage("Rollup findings", timing["findings"])
@@ -656,15 +646,15 @@ def scan(
         | ({"clustering": clustering} if clustering else {}),
     }
 
-    # like res.signatures, the exchange's views go back to the
-    # session's values
+    # like res.signatures, the streamed pairs view goes back to the
+    # session's reservation (the findings already run on a new dataset)
     return ScanResult(
         files=hashed,
         units=units,
         snippets=snippets,
         signatures=signatures,
-        pairs=with_context(pairs),
-        findings=with_context(findings),
+        pairs=with_reservation(pairs),
+        findings=findings,
         cluster_map=cluster_map,
         stats=stats,
         metrics_actor=metrics_handle,

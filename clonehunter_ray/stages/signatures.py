@@ -14,11 +14,9 @@ the frozen config and the emit argument (``util.cached_stage``). Ray
 reuses task workers, so ``SignatureStage`` is built once per worker
 process, every CPU runs the fused read->signatures chain, and no actor
 pool holds CPU slots the read tasks need. The scan runs that chain on
-the stage's own Ray Data context (``util.with_context``) without
+the stage's own Ray Data context (``util.with_reservation``) without
 per-operator resource reservation, with which Ray let the operator run
-a single task until that task returned its first output, and with
-``pipelines/scan.SIGNATURE_BLOCK_BYTES`` (32 MiB), from which Ray plans
-the read's block split and so the stage's block count.
+a single task until that task returned its first output.
 Each ``__call__`` runs the kernels once per distinct text of the batch
 (a short function's FUNC text is also its one WIN window, and clone
 families repeat windows) and takes every row back by its dictionary

@@ -130,8 +130,7 @@ def generate_snippets_batch(batch: pa.Table, window: WindowConfig) -> pa.Table:
 
     Each text is normalized once: a unit's FUNC text is its
     ``func_text`` (``extract_python_units`` normalized it from the
-    file's AST; ``normalize_source(code)`` when the column is absent),
-    which a WIN window spanning the whole unit reuses, and a window
+    file's AST), which a WIN window spanning the whole unit reuses, and a window
     that opens with an indented token is verbatim without a parse."""
     window.validate()
     cols: dict[str, list] = {name: [] for name in SNIPPETS_SCHEMA.names}
@@ -153,11 +152,10 @@ def generate_snippets_batch(batch: pa.Table, window: WindowConfig) -> pa.Table:
         code = row["code"]
         fn_start, fn_end = row["start_line"], row["end_line"]
         path, code_hash = row["path"], row["code_hash"]
-        func_text = row.get("func_text")
+        func_text = None
         if row["lang"] == "python":
             # FUNC snippet (reference generators.py:34-50)
-            if func_text is None:
-                func_text = normalize_source(code)
+            func_text = row["func_text"]
             sid = sha256_hex(f"FUNC:{path}:{fn_start}:{fn_end}:{code_hash}")
             emit("FUNC", sid, row, fn_start, fn_end, func_text)
         # WIN windows (reference generators.py:53-74)

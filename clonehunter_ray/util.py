@@ -78,13 +78,10 @@ def safe_join(
     )
 
 
-def with_context(
-    ds, reservation: bool | None = None, block_bytes: int | None = None
-):
+def with_reservation(ds, enabled: bool | None = None):
     """``ds`` on its own copy of its DataContext, whose
-    ``op_resource_reservation_enabled`` is ``reservation`` and whose
-    ``target_max_block_size`` is ``block_bytes`` (the session's value
-    for each one left None).
+    ``op_resource_reservation_enabled`` is ``enabled`` (the session's
+    value when None).
 
     Ray Data 2.49's per-operator reservation
     (``ReservationOpResourceAllocator``) splits the object-store budget
@@ -93,57 +90,24 @@ def with_context(
     operator between two all-to-all exchanges runs one task at a time
     (the scan's band-exchange output was gated at concurrency 1). A
     dataset whose stages are CPU-bound and whose blocks are small runs
-    on every CPU with it off (``reservation=False``).
+    on every CPU with it off (``enabled=False``).
 
     Ray Data keeps one DataContext per dataset, and every dataset built
     on it by a lazy transform shares that object, while
-    ``materialize`` copies it. The copy scopes the values to ``ds`` and
+    ``materialize`` copies it. The copy scopes the value to ``ds`` and
     what is built on it: the session's context and ``ds``'s inputs keep
     theirs. Use the result in place of ``ds``: the two share a logical
     plan, which follows the copy's context."""
     import ray.data
     from ray.data import DataContext
 
-    session = DataContext.get_current()
     ds = ray.data.Dataset.copy(ds, _deep_copy=True)
     ds.context.op_resource_reservation_enabled = (
-        session.op_resource_reservation_enabled
-        if reservation is None
-        else reservation
-    )
-    ds.context.target_max_block_size = (
-        session.target_max_block_size if block_bytes is None else block_bytes
+        DataContext.get_current().op_resource_reservation_enabled
+        if enabled is None
+        else enabled
     )
     return ds
-
-
-def drop_empty_blocks(ds):
-    """A materialized ``ds`` without its zero-row blocks, chosen from
-    block metadata: no block is read or copied.
-
-    An exchange leaves a zero-COLUMN block for each empty output
-    partition (see scrub_empty_blocks), so a consumer that concatenates
-    ``ray.get(ds.to_arrow_refs())`` itself would meet two schemas. The
-    result is built the way ``Dataset.materialize`` builds its own (Ray
-    2.49): one input bundle per kept block, the plan marked executed."""
-    from ray.data.dataset import MaterializedDataset
-    from ray.data._internal.execution.interfaces import RefBundle
-    from ray.data._internal.logical.interfaces import LogicalPlan
-    from ray.data._internal.logical.operators.input_data_operator import InputData
-    from ray.data._internal.plan import ExecutionPlan
-
-    bundles = [
-        RefBundle([(ref, meta)], owns_blocks=False, schema=bundle.schema)
-        for bundle in ds.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows
-    ]
-    out = MaterializedDataset(
-        ExecutionPlan(ds._plan.stats(), data_context=ds.context),
-        LogicalPlan(InputData(input_data=bundles), ds.context),
-    )
-    out._plan.execute()
-    return out
 
 
 def read_parquet_clean(path: str, columns: list[str] | None = None, **kwargs):

@@ -319,22 +319,18 @@ def test_partitioned_output_jsonl_float16_and_nested_nan(ray_session, tmp_path):
 
 def test_scan_plan_records_clustering(ray_session, tmp_path):
     """stats["plan"] records the connected-components decision (path,
-    edge count, rounds), the pair-attach decision (path, snippets,
-    bytes, pair-id prune) and the signature stage's own block size,
-    reservation setting and block count in streamed mode, in a
-    checkpointed run, and in a resume that hits the pairs and clusters
-    stages. The stage datasets run without per-operator reservation
-    (the signature stage also on its own block size), and that stays on
-    them: after scan() the session's context and every dataset scan()
-    returns or that is built on res.signatures keep the session's
-    reservation setting and block size."""
+    edge count, rounds), the pair stage's sid index and band exchange
+    (snippets, index blocks, partitions, shuffle strategy) and the
+    signature stage's block count in
+    streamed mode, in a checkpointed run, and in a resume that hits the
+    pairs and clusters stages. The stage datasets run without
+    per-operator reservation, and that stays on them: after scan() the
+    session's context and every dataset scan() returns or that is built
+    on res.signatures keep the session's reservation setting and block
+    size."""
     from ray.data import DataContext
 
-    from clonehunter_ray.pipelines.scan import (
-        SIGNATURE_BLOCK_BYTES,
-        build_exchange,
-        build_signatures,
-    )
+    from clonehunter_ray.pipelines.scan import build_exchange, build_signatures
 
     def values(context) -> tuple:
         return (
@@ -346,11 +342,11 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
         return values(ds.context)
 
     session = values(DataContext.get_current())
-    assert session[0] and session[1] != SIGNATURE_BLOCK_BYTES
+    assert session[0]
     files, _ = generate_corpus(60, 7)
     files_ds = ray.data.from_arrow(files)
     sigs = build_signatures(files_ds, EngineConfig())
-    assert scope(sigs) == (False, SIGNATURE_BLOCK_BYTES)
+    assert scope(sigs) == (False, session[1])
     views = build_exchange(sigs.materialize(), EngineConfig())
     assert [scope(d) for d in views] == [(False, session[1])] * 2
     assert scope(files_ds) == session
@@ -372,16 +368,10 @@ def test_scan_plan_records_clustering(ray_session, tmp_path):
     assert values(DataContext.get_current()) == session
     streamed, missed, resumed = (res.stats for res in results)
     assert streamed["plan"]["signatures"] == {
-        "target_max_block_size": SIGNATURE_BLOCK_BYTES,
-        "op_resource_reservation_enabled": False,
         "blocks": results[0].signatures.num_blocks(),
     }
     for stats in (missed, resumed):
-        assert stats["plan"]["signatures"] == {
-            "target_max_block_size": SIGNATURE_BLOCK_BYTES,
-            "op_resource_reservation_enabled": False,
-            "blocks": None,
-        }
+        assert stats["plan"]["signatures"] == {"blocks": None}
     assert missed["checkpoint"]["clusters"] == "miss"
     assert resumed["checkpoint"]["clusters"] == "hit"
     assert missed["checkpoint"]["pairs"] == "miss"
